@@ -70,7 +70,6 @@ class SweepSpec:
 class RunConfig:
     """Fully resolved configuration for one CLI invocation."""
 
-    kind: str
     params: ModelParams | None
     h_tot: Operator
     tau: float
@@ -79,7 +78,6 @@ class RunConfig:
     n_steps: int
     target: np.ndarray | None
     out_path: str | None
-    out_format: str
     sweep: SweepSpec | None
     shot_cfg: ShotConfig | None
 
@@ -283,9 +281,9 @@ def _load_shot_config(root, n_steps, args):
         _get(section, "seed", "shots", required=False, default=DEFAULT_SEED),
         "shots.seed",
     )
-    if args.shots is not None:
+    if getattr(args, "shots", None) is not None:
         shots = args.shots
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         seed = args.seed
     try:
         return ShotConfig(shots=shots, seed=seed, n_steps=n_steps)
@@ -294,7 +292,11 @@ def _load_shot_config(root, n_steps, args):
 
 
 def load_config(path: str, command: str, args) -> RunConfig:
-    """Read and validate a JSON config file for the given subcommand."""
+    """Read and validate a JSON config file for the given subcommand.
+
+    ``args`` holds the command-line overrides; an absent or None
+    ``steps``, ``seed`` or ``shots`` keeps the config value.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             root = json.load(fh)
@@ -312,7 +314,7 @@ def load_config(path: str, command: str, args) -> RunConfig:
 
     n_steps = _get(root, "n_steps", "", required=needs_state, default=0)
     n_steps = _as_int(n_steps, "n_steps")
-    if args.steps is not None:
+    if getattr(args, "steps", None) is not None:
         n_steps = args.steps
     if n_steps < 0:
         raise ConfigError("n_steps", "must be nonnegative")
@@ -340,7 +342,6 @@ def load_config(path: str, command: str, args) -> RunConfig:
     shot_cfg = _load_shot_config(root, n_steps, args) if command == "shots" else None
 
     return RunConfig(
-        kind=kind,
         params=params,
         h_tot=h_tot,
         tau=tau,
@@ -349,7 +350,6 @@ def load_config(path: str, command: str, args) -> RunConfig:
         n_steps=n_steps,
         target=target,
         out_path=out_path,
-        out_format=out_format,
         sweep=sweep,
         shot_cfg=shot_cfg,
     )
@@ -408,12 +408,11 @@ def cmd_sweep(cfg: RunConfig) -> str:
         h_tot = build_hamiltonian(params)
         v = projected_evolution(h_tot, params.tau, probe_spec(params))
         report = spectral_report(v)
-        u0 = report.eigensystem.right_vectors[:, 0]
-        dom_fid = abs(np.vdot(psi_minus, u0)) ** 2
+        u0 = report.asymptotic_state
+        # blank when dominance is degenerate: no eigenvector is selected
+        dom_fid = "" if u0 is None else _fmt(abs(np.vdot(psi_minus, u0)) ** 2)
         lam_s = abs(singlet_eigenvalue(params))
-        lines.append(
-            f"{_fmt(value)},{_fmt(lam_s)},{_fmt(report.gap_ratio)},{_fmt(dom_fid)}"
-        )
+        lines.append(f"{_fmt(value)},{_fmt(lam_s)},{_fmt(report.gap_ratio)},{dom_fid}")
     return "\n".join(lines) + "\n"
 
 
@@ -459,9 +458,11 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="path to the JSON config")
         cmd.add_argument("--out", help="output path (default: config or stdout)")
-        cmd.add_argument("--seed", type=int, help="override the shot RNG seed")
-        cmd.add_argument("--shots", type=int, help="override the shot count")
-        cmd.add_argument("--steps", type=int, help="override the step count")
+        if name in ("run", "shots"):
+            cmd.add_argument("--steps", type=int, help="override the step count")
+        if name == "shots":
+            cmd.add_argument("--seed", type=int, help="override the shot RNG seed")
+            cmd.add_argument("--shots", type=int, help="override the shot count")
     return parser
 
 

@@ -116,8 +116,10 @@ class SpectralReport:
     of the dominant eigenvalue (present only when dominance is unique),
     and ``yield_coefficient`` is <v0| rho |v0> with the matching left
     eigenvector, the prefactor of the large-N success probability
-    P(N) ~ |lambda0|^(2N) <v0|rho|v0> (present when an initial state was
-    supplied).
+    P(N) ~ |lambda0|^(2N) <v0|rho|v0>.  The yield is present only when an
+    initial state was supplied, dominance is unique and V is
+    diagonalizable; otherwise no left eigenvector defines it and it is
+    None.
     """
 
     eigensystem: Eigensystem
@@ -130,10 +132,14 @@ class SpectralReport:
 
 @dataclass(frozen=True)
 class ProtocolStep:
-    """State of the protocol after n successful probe measurements."""
+    """State of the protocol after n successful probe measurements.
+
+    ``state`` is Hermitian, positive and of unit trace by construction, so
+    it is a plain ``Operator``, not a re-validated ``DensityMatrix``.
+    """
 
     n: int
-    state: DensityMatrix
+    state: Operator
     success_prob: float
     fidelity: float | None = None
 
@@ -175,6 +181,13 @@ def _target_factors(factors: tuple[int, ...], dim_x: int, dim_a: int) -> tuple[i
     return (dim_a,)
 
 
+def _probe_sandwich(m: np.ndarray, probe: ProbeSpec) -> np.ndarray:
+    """Block <phi|_X m |phi>_X of a total-space matrix, as a matrix on A."""
+    blocks = m.reshape(probe.dim_x, probe.dim_a, probe.dim_x, probe.dim_a)
+    phi = probe.phi_x
+    return np.einsum("i,iajb,j->ab", phi.conj(), blocks, phi)
+
+
 def projected_evolution(h_tot: Operator, tau: float, probe: ProbeSpec) -> Operator:
     """Projected evolution operator V = <phi|_X exp(-i H tau) |phi>_X.
 
@@ -188,10 +201,7 @@ def projected_evolution(h_tot: Operator, tau: float, probe: ProbeSpec) -> Operat
             f"Hamiltonian dimension {h_tot.dim} does not match probe split "
             f"{probe.dim_x} x {probe.dim_a}"
         )
-    u = matrix_exponential(h_tot, tau)
-    blocks = u.entries.reshape(probe.dim_x, probe.dim_a, probe.dim_x, probe.dim_a)
-    phi = probe.phi_x
-    v = np.einsum("i,iajb,j->ab", phi.conj(), blocks, phi)
+    v = _probe_sandwich(matrix_exponential(h_tot, tau).entries, probe)
     return Operator(v, _target_factors(h_tot.factors, probe.dim_x, probe.dim_a))
 
 
@@ -213,11 +223,7 @@ def condition_on_probe(
             f"state dimension {rho_tot.dim} does not match probe split "
             f"{probe.dim_x} x {probe.dim_a}"
         )
-    blocks = rho_tot.entries.reshape(
-        probe.dim_x, probe.dim_a, probe.dim_x, probe.dim_a
-    )
-    phi = probe.phi_x
-    raw = np.einsum("i,iajb,j->ab", phi.conj(), blocks, phi)
+    raw = _probe_sandwich(rho_tot.entries, probe)
     p0 = float(np.trace(raw).real)
     if p0 < P0_FLOOR:
         raise ZeroProbability(f"probe outcome probability {p0:.3e} vanishes")
@@ -226,7 +232,7 @@ def condition_on_probe(
     return DensityMatrix(Operator(raw / p0, factors)), p0
 
 
-def fidelity(rho: DensityMatrix, target: np.ndarray) -> float:
+def fidelity(rho: DensityMatrix | Operator, target: np.ndarray) -> float:
     """Fidelity <target| rho |target> against a normalized pure state."""
     t = np.asarray(target, dtype=complex).reshape(-1)
     if t.shape[0] != rho.dim:
@@ -270,7 +276,7 @@ def run_protocol(
     rho_a, p0 = condition_on_probe(rho_tot, probe)
     v = v_op.entries
     factors = v_op.factors
-    sigma = rho_a.entries.copy()
+    sigma = rho_a.entries
     steps = []
     for n in range(n_steps + 1):
         if n > 0:
@@ -282,7 +288,7 @@ def run_protocol(
             raise ZeroProbability(
                 f"survival probability underflowed at step {n}"
             )
-        state = DensityMatrix(Operator(sigma / q, factors))
+        state = Operator(sigma / q, factors)
         fid = None if target is None else fidelity(state, target)
         steps.append(ProtocolStep(n=n, state=state, success_prob=p_n, fidelity=fid))
     return ProtocolTrace(steps)
@@ -319,7 +325,7 @@ def spectral_report(
         gap = float(mags[1] / mags[0])
     asymptotic = es.right_vectors[:, 0] if unique else None
     coeff = None
-    if rho_a is not None:
+    if rho_a is not None and unique and es.diagonalizable:
         l0 = es.left_vectors[0]
         coeff = float(np.real(l0 @ rho_a.entries @ l0.conj()))
     return SpectralReport(

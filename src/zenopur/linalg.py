@@ -13,13 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import ConvergenceFailure, NonHermitianInput
 
 HERMITICITY_TOL = 1e-10
 CONDITION_LIMIT = 1e8
-DEGENERACY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,11 +63,6 @@ class Operator:
         """Hermitian adjoint with the same factor signature."""
         return Operator(self.entries.conj().T, self.factors)
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if self.dim != other.dim:
-            raise ValueError("operator dimensions differ")
-        return Operator(self.entries @ other.entries, self.factors)
-
 
 @dataclass(frozen=True)
 class Eigensystem:
@@ -78,20 +71,22 @@ class Eigensystem:
     ``eigenvalues`` are sorted by descending magnitude, ties broken by
     descending real part and then descending imaginary part.  Columns of
     ``right_vectors`` are unit-norm right eigenvectors in the same order.
-    Rows of ``left_vectors`` are the matching left eigenvectors, scaled so
-    that ``left_vectors @ right_vectors`` is the identity whenever the
-    matrix is diagonalizable; for a defective matrix the rows are only a
-    best effort and ``diagonalizable`` is False.
+    When the matrix is diagonalizable, rows of ``left_vectors`` are the
+    matching left eigenvectors, scaled so that ``left_vectors @
+    right_vectors`` is the identity.  For a defective (or numerically
+    defective) matrix no such pairing exists: ``diagonalizable`` is False
+    and ``left_vectors`` is None.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
-    left_vectors: np.ndarray
+    left_vectors: np.ndarray | None
     diagonalizable: bool
 
     def __post_init__(self):
         n = self.eigenvalues.shape[0]
-        if self.right_vectors.shape != (n, n) or self.left_vectors.shape != (n, n):
+        left = self.left_vectors
+        if self.right_vectors.shape != (n, n) or (left is not None and left.shape != (n, n)):
             raise ValueError("eigenvector matrices must be square of matching size")
 
 
@@ -137,10 +132,9 @@ def eig_general(v: Operator) -> Eigensystem:
     eigenvectors are taken as the rows of the inverse of the right
     eigenvector matrix, which makes the pairing exactly biorthonormal.
     When that matrix is ill conditioned (condition number beyond
-    ``CONDITION_LIMIT``, which in particular captures eigenvalues that
-    collide within ``DEGENERACY_TOL`` without independent eigenvectors)
-    the matrix is reported as non-diagonalizable and the left vectors
-    fall back to the solver output, rescaled per pair where possible.
+    ``CONDITION_LIMIT``, which in particular captures colliding
+    eigenvalues without independent eigenvectors) the matrix is reported
+    as non-diagonalizable and carries no left vectors.
 
     Raises
     ------
@@ -148,21 +142,14 @@ def eig_general(v: Operator) -> Eigensystem:
         If the underlying QZ/QR iteration does not converge.
     """
     try:
-        w, vl, vr = scipy.linalg.eig(v.entries, left=True, right=True)
+        w, vr = np.linalg.eig(v.entries)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     order = np.lexsort((-w.imag, -w.real, -np.abs(w)))
     w = w[order]
     vr = vr[:, order]
-    vl = vl[:, order]
     vr = vr / np.linalg.norm(vr, axis=0)
     cond = np.linalg.cond(vr)
     diagonalizable = bool(np.isfinite(cond) and cond <= CONDITION_LIMIT)
-    if diagonalizable:
-        left = np.linalg.inv(vr)
-    else:
-        left = vl.conj().T
-        overlaps = np.einsum("ij,ji->i", left, vr)
-        safe = np.abs(overlaps) > np.sqrt(np.finfo(float).eps)
-        left[safe] = left[safe] / overlaps[safe, None]
+    left = np.linalg.inv(vr) if diagonalizable else None
     return Eigensystem(w, vr, left, diagonalizable)

@@ -1,8 +1,12 @@
 """Shot-level Monte Carlo simulation of the measurement protocol.
 
 Each shot draws a pure state from the spectral ensemble of the initial
-density matrix, then alternates the unitary evolution exp(-i H tau) with
-a binary Born-rule measurement of the probe projector.  A shot that ever
+density matrix, then goes through a string of binary Born-rule
+measurements of the probe projector: one at n = 0 and one after every
+period tau.  Between confirmations a surviving shot's target state chi
+evolves under the projected operator V = <phi|_X exp(-i H tau) |phi>_X,
+since V chi is the unnormalized amplitude of finding the probe in
+|phi>_X again; survivors never leave the target space.  A shot that ever
 finds the probe outside |phi>_X is discarded on the spot and never
 evolved again.  Surviving counts per step estimate the exact success
 probability P(n), and the surviving target states average into an
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DensityMatrix, ProbeSpec, _target_factors
+from .engine import DensityMatrix, ProbeSpec, _probe_sandwich, _target_factors
 from .exceptions import DimensionMismatch
 from .linalg import Operator, matrix_exponential
 
@@ -78,7 +82,7 @@ def run_shots(
             f"state/Hamiltonian dimensions ({rho_tot.dim}, {h_tot.dim}) do not "
             f"match probe split {probe.dim_x} x {probe.dim_a}"
         )
-    u = matrix_exponential(h_tot, tau).entries
+    v = _probe_sandwich(matrix_exponential(h_tot, tau).entries, probe)
     weights, ensemble = np.linalg.eigh(rho_tot.entries)
     weights = np.clip(weights, 0.0, None)
     cum = np.cumsum(weights / weights.sum())
@@ -90,17 +94,13 @@ def run_shots(
     draws = _shot_uniforms(cfg.seed, shots, n_steps + 2)
 
     idx = np.searchsorted(cum, draws[:, 0], side="right")
-    psi = ensemble.T[idx]
+    psi = ensemble.T[idx].reshape(shots, dim_x, dim_a)
+    amp = np.einsum("x,sxa->sa", phi.conj(), psi)
     alive = np.arange(shots)
     successes = np.zeros(n_steps + 1, dtype=np.int64)
-    chi = None
     for n in range(n_steps + 1):
         if n > 0:
-            full = np.einsum("x,sa->sxa", phi, chi).reshape(alive.size, -1)
-            psi = full @ u.T
-        amp = np.einsum(
-            "x,sxa->sa", phi.conj(), psi.reshape(alive.size, dim_x, dim_a)
-        )
+            amp = chi @ v.T
         prob = np.einsum("sa,sa->s", amp, amp.conj()).real
         ok = draws[alive, n + 1] < prob
         alive = alive[ok]

@@ -230,6 +230,12 @@ def test_spectrum_custom_system_has_no_flags(tmp_path, capsys):
 # sweep
 
 
+def sweep_rows(out):
+    """CSV body of a sweep as floats; a blank field reads as NaN."""
+    lines = out.strip().split("\n")[1:]
+    return [[float(x) if x else math.nan for x in line.split(",")] for line in lines]
+
+
 def test_sweep_g_matches_closed_form_oracle(tmp_path, capsys):
     payload = model_config()
     payload["sweep"] = {"axis": "g", "start": 0.05, "stop": 0.45, "count": 9}
@@ -258,10 +264,26 @@ def test_sweep_tau_singlet_pattern(tmp_path, capsys):
     payload["sweep"] = {"axis": "tau", "start": math.pi, "stop": TAU, "count": 2}
     cfg = write_config(tmp_path, "sweep.json", payload)
     _, out, _ = run_cli(capsys, ["sweep", "--config", cfg])
-    rows = [[float(x) for x in r.split(",")] for r in out.strip().split("\n")[1:]]
+    rows = sweep_rows(out)
     assert rows[0][1] == pytest.approx(0.0, abs=1e-12)
     assert rows[1][1] == pytest.approx(1.0, abs=1e-12)
     assert rows[0][0] < rows[1][0]
+    # at tau = pi the two largest eigenvalues are a conjugate pair of equal
+    # magnitude, so no dominant eigenvector exists to take a fidelity from
+    assert math.isnan(rows[0][3])
+    assert rows[1][3] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_sweep_degenerate_dominance_leaves_fidelity_blank(tmp_path, capsys):
+    payload = model_config()
+    payload["sweep"] = {"axis": "tau", "start": 0.0, "stop": TAU, "count": 3}
+    cfg = write_config(tmp_path, "sweep.json", payload)
+    code, out, _ = run_cli(capsys, ["sweep", "--config", cfg])
+    assert code == 0
+    first = out.strip().split("\n")[1].split(",")
+    # tau = 0 gives V = 1: every eigenvalue has magnitude 1
+    assert first[2] == "1"
+    assert first[3] == ""
 
 
 def test_sweep_alpha_angle(tmp_path, capsys):
@@ -435,6 +457,18 @@ def test_usage_error_exits_one(capsys):
     assert "config error" in err
 
 
+def test_shot_options_only_on_shots(tmp_path, capsys):
+    cfg = write_config(tmp_path, "run.json", model_config())
+    for argv in (
+        ["run", "--config", cfg, "--seed", "1"],
+        ["run", "--config", cfg, "--shots", "10"],
+        ["spectrum", "--config", cfg, "--steps", "2"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err
+
+
 def test_zero_probability_exits_two_and_writes_nothing(tmp_path, capsys):
     dest = tmp_path / "never.csv"
     payload = model_config()
@@ -473,3 +507,12 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,fidelity,success_probability\n")
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, zenopur, zenopur.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

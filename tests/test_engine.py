@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from zenopur.engine import (
     DensityMatrix,
@@ -315,6 +318,24 @@ def test_spectral_report_zero_operator():
         efficiency_check(report)
 
 
+def test_spectral_report_yield_needs_unique_diagonalizable_dominance():
+    jordan = Operator(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+    report = spectral_report(jordan, DensityMatrix.pure(np.array([1.0, 1.0])))
+    assert report.yield_coefficient is None
+
+    rho4 = DensityMatrix(Operator(np.eye(4, dtype=complex) / 4.0))
+    report = spectral_report(Operator(np.eye(4, dtype=complex)), rho4)
+    assert report.yield_coefficient is None
+
+    # unique dominant eigenvalue 1, defective block at 0.5 below it
+    tail = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]], dtype=complex)
+    rho3 = DensityMatrix(Operator(np.eye(3, dtype=complex) / 3.0))
+    report = spectral_report(Operator(tail), rho3)
+    assert report.dominant_unique
+    assert not report.eigensystem.diagonalizable
+    assert report.yield_coefficient is None
+
+
 def test_efficiency_check_examples():
     p, h, probe = reference_setup()
     v = projected_evolution(h, p.tau, probe)
@@ -374,3 +395,49 @@ def test_fidelity_deficit_decays_at_squared_gap_rate():
     # the 2N-rate bound at N = 30 sits below double-precision resolution
     # around F = 1, so cap the expectation at a few machine epsilons
     assert fid_def[30] <= max(10.0 * c * gap**60, 1e-14)
+
+
+# ---------------------------------------------------------------------------
+# invariants over random systems, probes and states
+
+
+def complex_arrays(shape):
+    parts = hnp.arrays(np.float64, (2,) + shape, elements=st.floats(-1.0, 1.0))
+    return parts.map(lambda a: a[0] + 1j * a[1])
+
+
+@st.composite
+def protocol_inputs(draw):
+    dim_x = draw(st.integers(1, 3))
+    dim_a = draw(st.integers(1, 6))
+    dim = dim_x * dim_a
+    a = draw(complex_arrays((dim, dim)))
+    phi = draw(complex_arrays((dim_x,)))
+    assume(np.linalg.norm(phi) > 0.1)
+    b = draw(complex_arrays((dim, dim)))
+    # the identity share keeps the probe outcome probability away from zero
+    rho = b @ b.conj().T + 1e-3 * np.eye(dim)
+    tau = draw(st.floats(0.0, 5.0))
+    return (
+        DensityMatrix(Operator(rho / np.trace(rho).real, (dim_x, dim_a))),
+        Operator((a + a.conj().T) / 2.0, (dim_x, dim_a)),
+        tau,
+        ProbeSpec(phi / np.linalg.norm(phi), dim_x, dim_a),
+    )
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(protocol_inputs())
+def test_protocol_invariants_over_random_inputs(inputs):
+    rho, h, tau, probe = inputs
+    v = projected_evolution(h, tau, probe)
+    assert np.linalg.norm(v.entries, 2) <= 1.0 + 1e-12
+    trace = run_protocol(rho, h, tau, probe, 8)
+    p = trace.success_probabilities()
+    # V is a contraction up to rounding, so P(n) may only rise by rounding
+    assert np.all(p[1:] <= p[:-1] * (1.0 + 1e-12))
+    for step in trace.steps:
+        m = step.state.entries
+        assert np.max(np.abs(m - m.conj().T)) <= 1e-10
+        assert np.linalg.eigvalsh(m).min() >= -1e-10
+        assert abs(np.trace(m).real - 1.0) <= 1e-10

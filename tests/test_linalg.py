@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from zenopur.exceptions import ConvergenceFailure, NonHermitianInput
 from zenopur.linalg import (
@@ -69,13 +68,11 @@ def test_operator_default_factors_and_immutability():
         op.entries[0, 0] = 2.0
 
 
-def test_operator_dagger_and_matmul():
+def test_operator_dagger():
     rng = np.random.default_rng(11)
     a = Operator(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), (2, 2))
     np.testing.assert_allclose(a.dagger().entries, a.entries.conj().T)
-    prod = a @ a.dagger()
-    np.testing.assert_allclose(prod.entries, a.entries @ a.entries.conj().T)
-    assert prod.factors == (2, 2)
+    assert a.dagger().factors == (2, 2)
 
 
 def test_identity():
@@ -194,6 +191,7 @@ def test_eig_jordan_block_flagged():
     j = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
     es = eig_general(Operator(j))
     assert not es.diagonalizable
+    assert es.left_vectors is None
     np.testing.assert_allclose(es.eigenvalues, [1.0, 1.0], atol=1e-7)
 
 
@@ -210,7 +208,7 @@ def test_eig_convergence_failure_surfaces(monkeypatch):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 
-    monkeypatch.setattr(scipy.linalg, "eig", boom)
+    monkeypatch.setattr(np.linalg, "eig", boom)
     with pytest.raises(ConvergenceFailure):
         eig_general(Operator(np.eye(2, dtype=complex)))
 
