@@ -7,6 +7,11 @@ Four subcommands drive the library from a JSON config file:
     zenopur sweep    --config cfg.json   parameter sweep as CSV
     zenopur shots    --config cfg.json   Monte Carlo vs exact as CSV
 
+The config is validated once, on load.  Every number in it must be
+finite.  Complex-valued fields (a custom ``hamiltonian``, ``probe``,
+``initial_state`` and ``target``, and ``alpha``/``beta``) take real
+entries or [re, im] pairs, one form throughout each array.
+
 Exit codes: 0 ok, 1 config error, 2 numeric failure.  Output goes to
 stdout unless an output path is configured (or given via --out).  Reals
 are printed with 12 significant digits so repeated runs diff clean.
@@ -104,7 +109,7 @@ def _get(mapping, key, path, required=True, default=None):
 def _as_real(value, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, "expected a real number")
-    return float(value)
+    return _as_array(value, path, ()).real.item()
 
 
 def _as_int(value, path) -> int:
@@ -113,32 +118,23 @@ def _as_int(value, path) -> int:
     return value
 
 
-def _as_complex(value, path) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(path, "expected a number or an [re, im] pair")
-
-
-def _as_vector(value, path, length) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != length:
-        raise ConfigError(path, f"expected a list of {length} entries")
-    return np.array(
-        [_as_complex(v, f"{path}[{i}]") for i, v in enumerate(value)], dtype=complex
-    )
-
-
-def _as_matrix(value, path, dim) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != dim:
-        raise ConfigError(path, f"expected {dim} rows")
-    return np.array(
-        [_as_vector(row, f"{path}[{i}]", dim) for i, row in enumerate(value)]
-    )
+def _as_array(value, path, shape) -> np.ndarray:
+    """Complex array of ``shape`` from finite JSON numbers, given as all
+    reals or as all [re, im] pairs (a trailing axis of length 2)."""
+    raw = np.array(value, dtype=object)
+    numbers = set(map(type, raw.flat)) <= {int, float}
+    if not numbers or raw.shape not in (shape, shape + (2,)):
+        if not shape:
+            raise ConfigError(path, "expected a real number or an [re, im] pair")
+        dims = " x ".join(map(str, shape))
+        raise ConfigError(path, f"expected {dims} entries, all reals or all [re, im] pairs")
+    try:
+        x = raw.astype(float)
+    except OverflowError:  # an integer beyond the float range
+        x = np.array(math.inf)
+    if not np.isfinite(x).all():
+        raise ConfigError(path, "must be finite")
+    return x.astype(complex) if x.shape == shape else x.view(complex)[..., 0]
 
 
 def _preset_state(name: str, probe: ProbeSpec, path: str) -> DensityMatrix:
@@ -182,13 +178,13 @@ def _load_system(root):
             omega = _as_real(_get(system, "omega", "system"), "system.omega")
         g = _as_real(_get(system, "g", "system"), "system.g")
         tau = _as_real(_get(system, "tau", "system"), "system.tau")
-        alpha = _as_complex(
-            _get(system, "alpha", "system", required=False, default=INV_SQRT2),
-            "system.alpha",
-        )
-        beta = _as_complex(
-            _get(system, "beta", "system", required=False, default=INV_SQRT2),
-            "system.beta",
+        alpha, beta = (
+            _as_array(
+                _get(system, key, "system", required=False, default=INV_SQRT2),
+                f"system.{key}",
+                (),
+            ).item()
+            for key in ("alpha", "beta")
         )
         try:
             params = ModelParams(omega=omega, g=g, tau=tau, alpha=alpha, beta=beta)
@@ -208,12 +204,12 @@ def _load_system(root):
     if tau < 0:
         raise ConfigError("system.tau", "must be nonnegative")
     dim = dim_x * dim_a
-    h = _as_matrix(_get(system, "hamiltonian", "system"), "system.hamiltonian", dim)
+    h = _as_array(_get(system, "hamiltonian", "system"), "system.hamiltonian", (dim, dim))
     try:
         h_tot = Operator(h, (dim_x, dim_a))
     except ValueError as exc:
         raise ConfigError("system.hamiltonian", str(exc)) from None
-    phi = _as_vector(_get(system, "probe", "system"), "system.probe", dim_x)
+    phi = _as_array(_get(system, "probe", "system"), "system.probe", (dim_x,))
     try:
         probe = ProbeSpec(phi, dim_x, dim_a)
     except (ValueError, ZenopurError) as exc:
@@ -227,7 +223,7 @@ def _load_initial_state(root, probe, required):
         return None
     if isinstance(value, str):
         return _preset_state(value, probe, "initial_state")
-    matrix = _as_matrix(value, "initial_state", probe.dim_total)
+    matrix = _as_array(value, "initial_state", (probe.dim_total,) * 2)
     factors = (probe.dim_x, probe.dim_a)
     try:
         return DensityMatrix(Operator(matrix, factors))
@@ -247,9 +243,9 @@ def _load_target(root, probe, command):
         if probe.dim_a != 4:
             raise ConfigError("target", "preset 'psi-minus' needs a 4-dim target space")
         return bell_basis().psi_minus
-    vec = _as_vector(value, "target", probe.dim_a)
+    vec = _as_array(value, "target", (probe.dim_a,))
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:  # a NaN norm fails too
         raise ConfigError("target", f"vector norm {norm!r} is not 1")
     return vec
 

@@ -54,7 +54,7 @@ class ProbeSpec:
                 f"probe vector has length {phi.shape[0]}, expected {self.dim_x}"
             )
         norm = np.linalg.norm(phi)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
             raise ValueError(f"probe state norm {norm!r} is not 1")
         phi.setflags(write=False)
         object.__setattr__(self, "phi_x", phi)
@@ -240,7 +240,7 @@ def fidelity(rho: DensityMatrix | Operator, target: np.ndarray) -> float:
             f"target has length {t.shape[0]}, state has dimension {rho.dim}"
         )
     norm = np.linalg.norm(t)
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:  # a NaN norm fails too
         raise ValueError(f"target norm {norm!r} is not 1")
     val = float(np.real(t.conj() @ rho.entries @ t))
     return min(max(val, 0.0), 1.0)

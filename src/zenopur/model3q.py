@@ -55,7 +55,7 @@ class ModelParams:
 
     def __post_init__(self):
         norm2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm2 - 1.0) > 1e-12:
+        if not abs(norm2 - 1.0) <= 1e-12:  # a NaN norm fails too
             raise ValueError(f"|alpha|^2 + |beta|^2 = {norm2!r}, expected 1")
 
 

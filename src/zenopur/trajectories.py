@@ -77,6 +77,8 @@ def run_shots(
     measurements (the conditioning one at n = 0 included) all found the
     probe in |phi>_X, so ``frequency[n]`` estimates the exact P(n).
     """
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
     if rho_tot.dim != probe.dim_total or h_tot.dim != probe.dim_total:
         raise DimensionMismatch(
             f"state/Hamiltonian dimensions ({rho_tot.dim}, {h_tot.dim}) do not "

@@ -3,13 +3,16 @@ import json
 import math
 import subprocess
 import sys
+from argparse import Namespace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zenopur.cli import main
+from zenopur.cli import load_config, main
 
 TAU = 2 * math.pi
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_config(tmp_path, name, payload):
@@ -451,6 +454,111 @@ def test_bad_target_reported(tmp_path, capsys):
     assert "target" in err
 
 
+def custom_config():
+    return {
+        "system": {
+            "kind": "custom",
+            "dim_x": 2,
+            "dim_a": 2,
+            "tau": 1.0,
+            "hamiltonian": [[[0.0, 0.0]] * 4 for _ in range(4)],
+            "probe": [[1.0, 0.0], [0.0, 0.0]],
+        },
+        "initial_state": np.diag([1.0, 0.0, 0.0, 0.0]).tolist(),
+        "target": [[1.0, 0.0], [0.0, 0.0]],
+        "n_steps": 2,
+    }
+
+
+def with_first_pair(value, pair):
+    """Copy of a nested list of [re, im] pairs with its first pair replaced."""
+    if not isinstance(value[0], list):
+        return pair
+    return [with_first_pair(value[0], pair)] + value[1:]
+
+
+def malformed_cases():
+    for field in ("tau", "g"):
+        for label, value in (
+            ("nan", math.nan),
+            ("inf", math.inf),
+            ("-inf", -math.inf),
+            ("400-digit", 10**400),
+        ):
+            yield pytest.param(f"system.{field}", value, id=f"{field}-{label}")
+    arrays = custom_config()
+    for field, good in (
+        ("system.hamiltonian", arrays["system"]["hamiltonian"]),
+        ("system.probe", arrays["system"]["probe"]),
+        ("target", arrays["target"]),
+    ):
+        for label, pair in (
+            ("bool", [True, 0.0]),
+            ("string", ["1", 0.0]),
+            ("null", [None, 0.0]),
+            ("mixed", 0.0),  # one real among [re, im] pairs
+            ("ragged", [0.0]),  # one pair of a single component
+            ("nan", [math.nan, 0.0]),
+        ):
+            yield pytest.param(field, with_first_pair(good, pair), id=f"{field}-{label}")
+        yield pytest.param(field, good + good[-1:], id=f"{field}-wrong-shape")
+    for label, value in (
+        ("bool", True),
+        ("string", "0.7"),
+        ("null", None),
+        ("mixed", [[0.7, 0.0], 0.0]),
+        ("ragged", [[0.7], [0.0, 0.0]]),
+        ("wrong-shape", [0.7, 0.0, 0.0]),
+        ("nan", math.nan),
+    ):
+        yield pytest.param("system.alpha", value, id=f"alpha-{label}")
+
+
+def test_array_decoding_matches_per_entry_reference(tmp_path):
+    rng = np.random.default_rng(3)
+    pairs = np.round(rng.standard_normal((5, 5, 2)), 3).tolist()
+    pairs[0][0] = [-0.0, -0.0]
+    pairs[1][1] = [2, -3]  # JSON integers
+    target = [0.6, -0.0, 0, 0.8, 0]
+    rho = np.diag([0.5, 0.25, 0.25, 0.0, 0.0]).tolist()
+    rho[4][4] = 0
+    payload = {
+        "system": {
+            "kind": "custom",
+            "dim_x": 1,
+            "dim_a": 5,
+            "tau": 1.0,
+            "hamiltonian": pairs,
+            "probe": [1],
+        },
+        "initial_state": rho,
+        "target": target,
+        "n_steps": 1,
+    }
+    cfg = load_config(write_config(tmp_path, "c.json", payload), "run", Namespace(out=None))
+    # reference: one Python complex per entry, as the config states it
+    want_h = np.array([[complex(a, b) for a, b in row] for row in pairs])
+    want_rho = np.array([[complex(a) for a in row] for row in rho])
+    want_target = np.array([complex(a) for a in target])
+    assert cfg.h_tot.entries.tobytes() == want_h.tobytes()
+    assert cfg.rho_tot.entries.tobytes() == want_rho.tobytes()
+    assert cfg.target.tobytes() == want_target.tobytes()
+
+
+@pytest.mark.parametrize("field, value", malformed_cases())
+def test_malformed_number_is_config_error(tmp_path, capsys, field, value):
+    custom = field in ("system.hamiltonian", "system.probe", "target")
+    payload = custom_config() if custom else model_config()
+    section, _, key = field.rpartition(".")
+    (payload[section] if section else payload)[key] = value
+    # json writes NaN, Infinity and -Infinity, which json.load reads back
+    cfg = write_config(tmp_path, "bad.json", payload)
+    code, out, err = run_cli(capsys, ["run", "--config", cfg])
+    assert code == 1 and out == ""
+    assert f"config error: {field}: " in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_one(capsys):
     code, _, err = run_cli(capsys, ["run"])
     assert code == 1
@@ -516,3 +624,26 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# golden bytes
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["run"], "run.csv"),
+        (["spectrum"], "spectrum.json"),
+        (["sweep"], "sweep.csv"),
+        (["shots", "--seed", "7", "--shots", "2000"], "shots_seed7_2000.csv"),
+    ],
+    ids=["run", "spectrum", "sweep", "shots"],
+)
+def test_readme_config_golden_bytes(tmp_path, capsys, argv, golden):
+    # the README config, byte for byte; the golden files are checked-in output
+    dest = tmp_path / golden
+    cfg = str(GOLDEN / "readme.json")
+    assert main(argv + ["--config", cfg, "--out", str(dest)]) == 0
+    capsys.readouterr()
+    assert dest.read_bytes() == (GOLDEN / golden).read_bytes()

@@ -83,6 +83,8 @@ RIGHT = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 def test_probe_spec_validation():
     with pytest.raises(ValueError):
         ProbeSpec(np.array([1.0, 1.0]), 2, 2)
+    with pytest.raises(ValueError):
+        ProbeSpec(np.array([np.nan, 1.0]), 2, 4)
     with pytest.raises(DimensionMismatch):
         ProbeSpec(np.array([1.0, 0.0, 0.0]), 2, 2)
     probe = ProbeSpec(RIGHT, 2, 4)
@@ -217,6 +219,8 @@ def test_fidelity_errors():
         fidelity(psi, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         fidelity(psi, 2.0 * PSI_MINUS)
+    with pytest.raises(ValueError):
+        fidelity(psi, np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------

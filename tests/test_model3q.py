@@ -46,6 +46,8 @@ def numeric_v(p):
 def test_params_normalization_enforced():
     with pytest.raises(ValueError):
         ModelParams(omega=1.0, g=0.1, tau=1.0, alpha=1.0, beta=1.0)
+    with pytest.raises(ValueError):
+        ModelParams(omega=1.0, g=0.25, tau=1.0, alpha=math.nan)
     ModelParams(omega=1.0, g=0.1, tau=1.0, alpha=0.6, beta=0.8j)
 
 

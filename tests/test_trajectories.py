@@ -136,6 +136,12 @@ def test_dimension_mismatch():
         run_shots(rho, h, 1.0, bad_probe, ShotConfig(shots=10, seed=0, n_steps=2))
 
 
+def test_negative_tau_rejected():
+    _, h, probe, rho = reference_inputs()
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        run_shots(rho, h, -1.0, probe, ShotConfig(shots=10, seed=0, n_steps=2))
+
+
 def test_summary_arrays_read_only():
     _, h, probe, rho = reference_inputs()
     summary = run_shots(rho, h, 2 * np.pi, probe, ShotConfig(shots=50, seed=5, n_steps=2))
