@@ -19,14 +19,13 @@ from .exceptions import (
     ZenopurError,
     ZeroProbability,
 )
-from .linalg import Eigensystem, Operator, eig_general, identity, kron, matrix_exponential
+from .linalg import Eigensystem, Operator, eig_general, matrix_exponential
 from .engine import (
     DensityMatrix,
     ProbeSpec,
     ProtocolStep,
     ProtocolTrace,
     SpectralReport,
-    build_projector,
     condition_on_probe,
     efficiency_check,
     fidelity,
@@ -76,14 +75,11 @@ __all__ = [
     "analytic_v_phi",
     "bell_basis",
     "build_hamiltonian",
-    "build_projector",
     "check_conditions",
     "condition_on_probe",
     "efficiency_check",
     "eig_general",
     "fidelity",
-    "identity",
-    "kron",
     "matrix_exponential",
     "probe_spec",
     "projected_evolution",

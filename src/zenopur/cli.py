@@ -164,6 +164,7 @@ def _load_system(root):
     if units not in ("absolute", "omega"):
         raise ConfigError("units", "expected 'absolute' or 'omega'")
 
+    # omega and g come before tau: a config missing omega and tau reports omega
     if kind == "model3q":
         if units == "omega":
             omega = _as_real(
@@ -177,7 +178,13 @@ def _load_system(root):
         else:
             omega = _as_real(_get(system, "omega", "system"), "system.omega")
         g = _as_real(_get(system, "g", "system"), "system.g")
-        tau = _as_real(_get(system, "tau", "system"), "system.tau")
+    elif units == "omega":
+        raise ConfigError("units", "'omega' applies only to model3q systems")
+    tau = _as_real(_get(system, "tau", "system"), "system.tau")
+    if tau < 0:
+        raise ConfigError("system.tau", "must be nonnegative")
+
+    if kind == "model3q":
         alpha, beta = (
             _as_array(
                 _get(system, key, "system", required=False, default=INV_SQRT2),
@@ -190,19 +197,12 @@ def _load_system(root):
             params = ModelParams(omega=omega, g=g, tau=tau, alpha=alpha, beta=beta)
         except ValueError as exc:
             raise ConfigError("system.alpha", str(exc)) from None
-        if tau < 0:
-            raise ConfigError("system.tau", "must be nonnegative")
         return "model3q", params, build_hamiltonian(params), tau, probe_spec(params)
 
-    if units == "omega":
-        raise ConfigError("units", "'omega' applies only to model3q systems")
     dim_x = _as_int(_get(system, "dim_x", "system"), "system.dim_x")
     dim_a = _as_int(_get(system, "dim_a", "system"), "system.dim_a")
     if dim_x < 1 or dim_a < 1:
         raise ConfigError("system.dim_x", "dimensions must be positive")
-    tau = _as_real(_get(system, "tau", "system"), "system.tau")
-    if tau < 0:
-        raise ConfigError("system.tau", "must be nonnegative")
     dim = dim_x * dim_a
     h = _as_array(_get(system, "hamiltonian", "system"), "system.hamiltonian", (dim, dim))
     try:
@@ -296,7 +296,7 @@ def load_config(path: str, command: str, args) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             root = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from None
@@ -476,8 +476,15 @@ def main(argv=None) -> int:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     if cfg.out_path is not None:
-        with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(
+                f"config error: output.path: cannot write {cfg.out_path}: {exc}",
+                file=sys.stderr,
+            )
+            return 1
     else:
         sys.stdout.write(text)
     return 0

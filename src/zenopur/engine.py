@@ -160,14 +160,6 @@ class ProtocolTrace:
         )
 
 
-def build_projector(probe: ProbeSpec) -> Operator:
-    """Rank-``dim_a`` projector |phi><phi|_X (x) 1_A on the total space."""
-    phi = probe.phi_x
-    p_x = np.outer(phi, phi.conj())
-    full = np.kron(p_x, np.eye(probe.dim_a, dtype=complex))
-    return Operator(full, (probe.dim_x, probe.dim_a))
-
-
 def _target_factors(factors: tuple[int, ...], dim_x: int, dim_a: int) -> tuple[int, ...]:
     """Factor signature for the A space, reusing the tail of the total split."""
     prefix = 1
@@ -193,6 +185,8 @@ def projected_evolution(h_tot: Operator, tau: float, probe: ProbeSpec) -> Operat
 
     V acts on the target space A alone and is a contraction: every
     singular value is at most 1, so eigenvalue magnitudes never exceed 1.
+    This is the one place V is built; its ``factors`` are the tail of
+    ``h_tot.factors`` that spans A, or ``(dim_a,)`` when none does.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -232,18 +226,28 @@ def condition_on_probe(
     return DensityMatrix(Operator(raw / p0, factors)), p0
 
 
-def fidelity(rho: DensityMatrix | Operator, target: np.ndarray) -> float:
-    """Fidelity <target| rho |target> against a normalized pure state."""
+def _checked_target(target: np.ndarray, dim: int) -> np.ndarray:
+    """``target`` as a flat complex vector, checked for length ``dim`` and unit norm."""
     t = np.asarray(target, dtype=complex).reshape(-1)
-    if t.shape[0] != rho.dim:
+    if t.shape[0] != dim:
         raise DimensionMismatch(
-            f"target has length {t.shape[0]}, state has dimension {rho.dim}"
+            f"target has length {t.shape[0]}, state has dimension {dim}"
         )
     norm = np.linalg.norm(t)
     if not abs(norm - 1.0) <= 1e-8:  # a NaN norm fails too
         raise ValueError(f"target norm {norm!r} is not 1")
-    val = float(np.real(t.conj() @ rho.entries @ t))
+    return t
+
+
+def _overlap(t: np.ndarray, m: np.ndarray) -> float:
+    """<t| m |t> clipped to [0, 1], for a checked unit vector ``t``."""
+    val = float(np.real(t.conj() @ m @ t))
     return min(max(val, 0.0), 1.0)
+
+
+def fidelity(rho: DensityMatrix | Operator, target: np.ndarray) -> float:
+    """Fidelity <target| rho |target> against a normalized pure state."""
+    return _overlap(_checked_target(target, rho.dim), rho.entries)
 
 
 def run_protocol(
@@ -264,6 +268,12 @@ def run_protocol(
     with the step-zero convention P(0) = p0.  The success probability is
     non-increasing in n.
 
+    V comes from ``projected_evolution``, which checks ``tau`` and the
+    Hamiltonian's dimension; ``condition_on_probe`` checks the state's.
+    ``target`` gets the length and unit-norm check of ``fidelity`` (and
+    its DimensionMismatch or ValueError) once, before the loop; each step
+    then only contracts it with the state.
+
     Raises
     ------
     ZeroProbability
@@ -272,15 +282,14 @@ def run_protocol(
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    v_op = projected_evolution(h_tot, tau, probe)
+    t = None if target is None else _checked_target(target, probe.dim_a)
+    v = projected_evolution(h_tot, tau, probe)
     rho_a, p0 = condition_on_probe(rho_tot, probe)
-    v = v_op.entries
-    factors = v_op.factors
     sigma = rho_a.entries
     steps = []
     for n in range(n_steps + 1):
         if n > 0:
-            sigma = v @ sigma @ v.conj().T
+            sigma = v.entries @ sigma @ v.entries.conj().T
             sigma = (sigma + sigma.conj().T) / 2.0
         q = float(np.trace(sigma).real)
         p_n = p0 * q
@@ -288,8 +297,8 @@ def run_protocol(
             raise ZeroProbability(
                 f"survival probability underflowed at step {n}"
             )
-        state = Operator(sigma / q, factors)
-        fid = None if target is None else fidelity(state, target)
+        state = Operator(sigma / q, v.factors)
+        fid = None if t is None else _overlap(t, state.entries)
         steps.append(ProtocolStep(n=n, state=state, success_prob=p_n, fidelity=fid))
     return ProtocolTrace(steps)
 

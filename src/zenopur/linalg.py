@@ -40,7 +40,7 @@ class Operator:
         entries = np.array(self.entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("entries must be a square matrix")
-        if not np.all(np.isfinite(entries.real)) or not np.all(np.isfinite(entries.imag)):
+        if not np.isfinite(entries).all():
             raise ValueError("entries must be finite")
         dim = entries.shape[0]
         factors = self.factors
@@ -58,10 +58,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def dagger(self) -> "Operator":
-        """Hermitian adjoint with the same factor signature."""
-        return Operator(self.entries.conj().T, self.factors)
 
 
 @dataclass(frozen=True)
@@ -88,16 +84,6 @@ class Eigensystem:
         left = self.left_vectors
         if self.right_vectors.shape != (n, n) or (left is not None and left.shape != (n, n)):
             raise ValueError("eigenvector matrices must be square of matching size")
-
-
-def identity(factors: tuple[int, ...]) -> Operator:
-    """identity operator for the given factor signature."""
-    return Operator(np.eye(math.prod(factors), dtype=complex), tuple(factors))
-
-
-def kron(a: Operator, b: Operator) -> Operator:
-    """Tensor product ``a (x) b`` with concatenated factor signatures."""
-    return Operator(np.kron(a.entries, b.entries), a.factors + b.factors)
 
 
 def matrix_exponential(h: Operator, t: float) -> Operator:

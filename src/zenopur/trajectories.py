@@ -12,6 +12,11 @@ evolved again.  Surviving counts per step estimate the exact success
 probability P(n), and the surviving target states average into an
 estimate of the exact conditional state.
 
+V comes from ``engine.projected_evolution``, the one builder of V, which
+checks ``tau`` and the Hamiltonian's dimension; ``run_shots`` itself
+checks only that the initial state fits the probe split, and takes the
+estimate's factor signature from V.
+
 Every shot owns an independent RNG stream derived from (seed, shot
 index), so results are reproducible bit for bit and independent of
 execution order.
@@ -23,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DensityMatrix, ProbeSpec, _probe_sandwich, _target_factors
+from .engine import DensityMatrix, ProbeSpec, projected_evolution
 from .exceptions import DimensionMismatch
-from .linalg import Operator, matrix_exponential
+from .linalg import Operator
+from .linalg import matrix_exponential  # noqa: F401  traced by name in bench/worker.py
 
 
 @dataclass(frozen=True)
@@ -77,32 +83,28 @@ def run_shots(
     measurements (the conditioning one at n = 0 included) all found the
     probe in |phi>_X, so ``frequency[n]`` estimates the exact P(n).
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if rho_tot.dim != probe.dim_total or h_tot.dim != probe.dim_total:
+    if rho_tot.dim != probe.dim_total:
         raise DimensionMismatch(
-            f"state/Hamiltonian dimensions ({rho_tot.dim}, {h_tot.dim}) do not "
-            f"match probe split {probe.dim_x} x {probe.dim_a}"
+            f"state dimension {rho_tot.dim} does not match probe split "
+            f"{probe.dim_x} x {probe.dim_a}"
         )
-    v = _probe_sandwich(matrix_exponential(h_tot, tau).entries, probe)
+    v = projected_evolution(h_tot, tau, probe)
     weights, ensemble = np.linalg.eigh(rho_tot.entries)
     weights = np.clip(weights, 0.0, None)
     cum = np.cumsum(weights / weights.sum())
     cum[-1] = 1.0
 
-    phi = probe.phi_x
-    dim_x, dim_a = probe.dim_x, probe.dim_a
     shots, n_steps = cfg.shots, cfg.n_steps
     draws = _shot_uniforms(cfg.seed, shots, n_steps + 2)
 
     idx = np.searchsorted(cum, draws[:, 0], side="right")
-    psi = ensemble.T[idx].reshape(shots, dim_x, dim_a)
-    amp = np.einsum("x,sxa->sa", phi.conj(), psi)
+    psi = ensemble.T[idx].reshape(shots, probe.dim_x, probe.dim_a)
+    amp = np.einsum("x,sxa->sa", probe.phi_x.conj(), psi)
     alive = np.arange(shots)
     successes = np.zeros(n_steps + 1, dtype=np.int64)
     for n in range(n_steps + 1):
         if n > 0:
-            amp = chi @ v.T
+            amp = chi @ v.entries.T
         prob = np.einsum("sa,sa->s", amp, amp.conj()).real
         ok = draws[alive, n + 1] < prob
         alive = alive[ok]
@@ -116,8 +118,7 @@ def run_shots(
     if successes[n_steps] > 0:
         mean = np.einsum("sa,sb->ab", chi, chi.conj()) / chi.shape[0]
         mean = (mean + mean.conj().T) / 2.0
-        factors = _target_factors(h_tot.factors, dim_x, dim_a)
-        estimate = DensityMatrix(Operator(mean, factors))
+        estimate = DensityMatrix(Operator(mean, v.factors))
     successes.setflags(write=False)
     frequency.setflags(write=False)
     return ShotSummary(successes, frequency, estimate)

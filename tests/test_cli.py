@@ -418,6 +418,15 @@ def test_missing_file_reported(capsys):
     assert "cannot read" in err
 
 
+def test_undecodable_config_reported(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, ["run", "--config", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"config error: config: cannot read {path}: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_units_omega_rejects_other_frequency(tmp_path, capsys):
     payload = model_config()
     payload["system"]["omega"] = 2.0
@@ -591,6 +600,23 @@ def test_zero_probability_exits_two_and_writes_nothing(tmp_path, capsys):
     assert code == 2
     assert "ZeroProbability" in err
     assert not dest.exists()
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_unwritable_output_path_reported(tmp_path, capsys, via_config):
+    dest = tmp_path / "missing" / "out.csv"
+    if via_config:
+        payload = model_config(output={"path": str(dest)})
+        argv = []
+    else:
+        payload = model_config()
+        argv = ["--out", str(dest)]
+    cfg = write_config(tmp_path, "run.json", payload)
+    code, out, err = run_cli(capsys, ["run", "--config", cfg] + argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"config error: output.path: cannot write {dest}: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not dest.parent.exists()
 
 
 def test_wrong_output_format_rejected(tmp_path, capsys):

@@ -6,8 +6,6 @@ from zenopur.linalg import (
     Eigensystem,
     Operator,
     eig_general,
-    identity,
-    kron,
     matrix_exponential,
 )
 
@@ -66,41 +64,6 @@ def test_operator_default_factors_and_immutability():
     assert op.factors == (3,)
     with pytest.raises(ValueError):
         op.entries[0, 0] = 2.0
-
-
-def test_operator_dagger():
-    rng = np.random.default_rng(11)
-    a = Operator(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), (2, 2))
-    np.testing.assert_allclose(a.dagger().entries, a.entries.conj().T)
-    assert a.dagger().factors == (2, 2)
-
-
-def test_identity():
-    op = identity((2, 3))
-    np.testing.assert_allclose(op.entries, np.eye(6))
-    assert op.factors == (2, 3)
-
-
-# ---------------------------------------------------------------------------
-# kron
-
-
-def test_kron_hand_value():
-    sp = Operator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-    sm = Operator(np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex))
-    prod = kron(sp, sm)
-    want = np.zeros((4, 4), dtype=complex)
-    want[1, 2] = 1.0
-    np.testing.assert_allclose(prod.entries, want)
-    assert prod.factors == (2, 2)
-
-
-def test_kron_matches_numpy():
-    rng = np.random.default_rng(5)
-    a = Operator(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    b = Operator(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    np.testing.assert_allclose(kron(a, b).entries, np.kron(a.entries, b.entries))
-    assert kron(a, b).factors == (2, 3)
 
 
 # ---------------------------------------------------------------------------

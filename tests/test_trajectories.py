@@ -134,6 +134,9 @@ def test_dimension_mismatch():
     bad_probe = ProbeSpec(np.array([1.0, 0.0, 0.0]), 3, 4)
     with pytest.raises(DimensionMismatch):
         run_shots(rho, h, 1.0, bad_probe, ShotConfig(shots=10, seed=0, n_steps=2))
+    small_h = Operator(np.zeros((4, 4)), (2, 2))
+    with pytest.raises(DimensionMismatch):
+        run_shots(rho, small_h, 1.0, probe, ShotConfig(shots=10, seed=0, n_steps=2))
 
 
 def test_negative_tau_rejected():
