@@ -1,8 +1,9 @@
 """Cross-check the exact protocol against sampled single-shot runs.
 
-Each shot draws an initial pure state from the ensemble, then walks the
-measurement record: evolve for tau, measure the probe, keep the shot if
-the probe came out in |phi>_X.  The surviving fraction after n rounds
+Each shot either fails the first probe measurement or draws a pure target
+state from the ensemble of <phi|rho|phi>, then walks the measurement
+record: evolve for tau, measure the probe, keep the shot if the probe
+came out in |phi>_X.  The surviving fraction after n rounds
 estimates the exact success probability P(n), and the surviving states
 average to the conditional density matrix.
 """

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -462,6 +463,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cannot_write(path: str, reason) -> int:
+    print(f"config error: output.path: cannot write {path}: {reason}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -470,6 +476,14 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    if cfg.out_path is not None:
+        # checked before the command runs, so no result is computed only to be
+        # dropped; the write below still reports whatever this misses
+        folder = os.path.dirname(cfg.out_path) or "."
+        if not os.path.isdir(folder):
+            return _cannot_write(cfg.out_path, f"directory {folder} does not exist")
+        if not os.access(folder, os.W_OK):
+            return _cannot_write(cfg.out_path, f"directory {folder} is not writable")
     try:
         text = _COMMANDS[args.command](cfg)
     except ZenopurError as exc:
@@ -480,11 +494,7 @@ def main(argv=None) -> int:
             with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(
-                f"config error: output.path: cannot write {cfg.out_path}: {exc}",
-                file=sys.stderr,
-            )
-            return 1
+            return _cannot_write(cfg.out_path, exc)
     else:
         sys.stdout.write(text)
     return 0

@@ -199,6 +199,22 @@ def projected_evolution(h_tot: Operator, tau: float, probe: ProbeSpec) -> Operat
     return Operator(v, _target_factors(h_tot.factors, probe.dim_x, probe.dim_a))
 
 
+def probe_block(rho_tot: DensityMatrix, probe: ProbeSpec) -> np.ndarray:
+    """Unnormalized target block rho'_A = <phi|_X rho_tot |phi>_X, Hermitized.
+
+    Its trace is the probability p0 of finding the probe in |phi>_X at
+    step zero.  This is the one place the state's dimension is checked
+    against the probe split.
+    """
+    if rho_tot.dim != probe.dim_total:
+        raise DimensionMismatch(
+            f"state dimension {rho_tot.dim} does not match probe split "
+            f"{probe.dim_x} x {probe.dim_a}"
+        )
+    raw = _probe_sandwich(rho_tot.entries, probe)
+    return (raw + raw.conj().T) / 2.0
+
+
 def condition_on_probe(
     rho_tot: DensityMatrix, probe: ProbeSpec
 ) -> tuple[DensityMatrix, float]:
@@ -212,18 +228,12 @@ def condition_on_probe(
     ZeroProbability
         If p0 falls below ``P0_FLOOR``.
     """
-    if rho_tot.dim != probe.dim_total:
-        raise DimensionMismatch(
-            f"state dimension {rho_tot.dim} does not match probe split "
-            f"{probe.dim_x} x {probe.dim_a}"
-        )
-    raw = _probe_sandwich(rho_tot.entries, probe)
-    p0 = float(np.trace(raw).real)
+    block = probe_block(rho_tot, probe)
+    p0 = float(np.trace(block).real)
     if p0 < P0_FLOOR:
         raise ZeroProbability(f"probe outcome probability {p0:.3e} vanishes")
     factors = _target_factors(rho_tot.op.factors, probe.dim_x, probe.dim_a)
-    raw = (raw + raw.conj().T) / 2.0
-    return DensityMatrix(Operator(raw / p0, factors)), p0
+    return DensityMatrix(Operator(block / p0, factors)), p0
 
 
 def _checked_target(target: np.ndarray, dim: int) -> np.ndarray:

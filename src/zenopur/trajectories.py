@@ -1,25 +1,25 @@
 """Shot-level Monte Carlo simulation of the measurement protocol.
 
-Each shot draws a pure state from the spectral ensemble of the initial
-density matrix, then goes through a string of binary Born-rule
-measurements of the probe projector: one at n = 0 and one after every
-period tau.  Between confirmations a surviving shot's target state chi
-evolves under the projected operator V = <phi|_X exp(-i H tau) |phi>_X,
-since V chi is the unnormalized amplitude of finding the probe in
-|phi>_X again; survivors never leave the target space.  A shot that ever
-finds the probe outside |phi>_X is discarded on the spot and never
-evolved again.  Surviving counts per step estimate the exact success
-probability P(n), and the surviving target states average into an
-estimate of the exact conditional state.
+Each shot is a string of binary Born-rule measurements of the probe
+projector: one at n = 0 and one after every period tau.  The ensemble is
+drawn on the target space: with lambda_k, u_k the eigenpairs of the
+unnormalized block rho'_A = <phi|rho_tot|phi> (``engine.probe_block``),
+a shot passes n = 0 as u_k with probability lambda_k and fails with
+probability 1 - p0 = 1 - sum_k lambda_k.  A survivor's target state chi
+then evolves under V = <phi|_X exp(-i H tau) |phi>_X
+(``engine.projected_evolution``), since V chi is the unnormalized
+amplitude of finding the probe in |phi>_X again.  A shot that ever finds
+the probe outside |phi>_X is discarded on the spot.  As
+P(n) = sum_k lambda_k |V^n u_k|^2, surviving counts per step estimate the
+exact P(n), and the surviving states average into an estimate of the
+exact conditional state.
 
-V comes from ``engine.projected_evolution``, the one builder of V, which
-checks ``tau`` and the Hamiltonian's dimension; ``run_shots`` itself
-checks only that the initial state fits the probe split, and takes the
-estimate's factor signature from V.
-
-Every shot owns an independent RNG stream derived from (seed, shot
-index), so results are reproducible bit for bit and independent of
-execution order.
+All draws come from one Philox stream keyed by the seed.  Row i of a
+(shots, per_shot) array of uniforms belongs to shot i: column 0 decides
+n = 0, column n the measurement at step n.  per_shot is n_steps + 1
+rounded up to a multiple of 4, the Philox block, so any range of rows
+starts at a known counter.  Shots run in row blocks of bounded size;
+results are reproducible bit for bit and independent of the block size.
 """
 
 from __future__ import annotations
@@ -28,15 +28,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DensityMatrix, ProbeSpec, projected_evolution
-from .exceptions import DimensionMismatch
+from .engine import DensityMatrix, ProbeSpec, probe_block, projected_evolution
 from .linalg import Operator
 from .linalg import matrix_exponential  # noqa: F401  traced by name in bench/worker.py
+
+_BLOCK_ROWS = 4096  # shots per row block; bounds the memory of draws and amplitudes
 
 
 @dataclass(frozen=True)
 class ShotConfig:
-    """Shot count, RNG seed (64-bit unsigned) and number of protocol steps."""
+    """Shot count, RNG seed and number of protocol steps.
+
+    The seed (64-bit unsigned) is the key of the one Philox stream all
+    shots draw from; shot i reads row i of it, so the same config gives
+    the same records bit for bit.
+    """
 
     shots: int
     seed: int
@@ -62,12 +68,16 @@ class ShotSummary:
     final_state_estimate: DensityMatrix | None
 
 
-def _shot_uniforms(seed: int, shots: int, per_shot: int) -> np.ndarray:
-    draws = np.empty((shots, per_shot))
-    for i in range(shots):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        draws[i] = rng.random(per_shot)
-    return draws
+def _shot_uniforms(seed: int, n_steps: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` of the (shots, per_shot) uniforms of shot records.
+
+    The whole array is one Philox(key=seed) stream read row by row.  A
+    Philox counter step yields 4 draws and per_shot is a multiple of 4,
+    so row ``start`` begins exactly ``start * per_shot // 4`` steps in.
+    """
+    per_shot = (n_steps + 4) // 4 * 4  # n_steps + 1 rounded up to a multiple of 4
+    bitgen = np.random.Philox(key=seed).advance(start * per_shot // 4)
+    return np.random.Generator(bitgen).random((stop - start, per_shot))
 
 
 def run_shots(
@@ -83,40 +93,36 @@ def run_shots(
     measurements (the conditioning one at n = 0 included) all found the
     probe in |phi>_X, so ``frequency[n]`` estimates the exact P(n).
     """
-    if rho_tot.dim != probe.dim_total:
-        raise DimensionMismatch(
-            f"state dimension {rho_tot.dim} does not match probe split "
-            f"{probe.dim_x} x {probe.dim_a}"
-        )
+    weights, members = np.linalg.eigh(probe_block(rho_tot, probe))
     v = projected_evolution(h_tot, tau, probe)
-    weights, ensemble = np.linalg.eigh(rho_tot.entries)
-    weights = np.clip(weights, 0.0, None)
-    cum = np.cumsum(weights / weights.sum())
-    cum[-1] = 1.0
+    cum = np.cumsum(np.clip(weights, 0.0, None))
+    members = members.T  # row k is the unit eigenvector of lambda_k
+    vt = v.entries.T
 
-    shots, n_steps = cfg.shots, cfg.n_steps
-    draws = _shot_uniforms(cfg.seed, shots, n_steps + 2)
-
-    idx = np.searchsorted(cum, draws[:, 0], side="right")
-    psi = ensemble.T[idx].reshape(shots, probe.dim_x, probe.dim_a)
-    amp = np.einsum("x,sxa->sa", probe.phi_x.conj(), psi)
-    alive = np.arange(shots)
+    n_steps = cfg.n_steps
     successes = np.zeros(n_steps + 1, dtype=np.int64)
-    for n in range(n_steps + 1):
-        if n > 0:
-            amp = chi @ v.entries.T
-        prob = np.einsum("sa,sa->s", amp, amp.conj()).real
-        ok = draws[alive, n + 1] < prob
-        alive = alive[ok]
-        successes[n] = alive.size
-        if alive.size == 0:
-            break
-        chi = amp[ok] / np.sqrt(prob[ok])[:, None]
+    outer = np.zeros((probe.dim_a, probe.dim_a), dtype=complex)
+    for start in range(0, cfg.shots, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, cfg.shots)
+        draws = _shot_uniforms(cfg.seed, n_steps, start, stop)
+        # one uniform picks member k with probability lambda_k, or, at or
+        # above sum_k lambda_k = p0, the failure of the n = 0 measurement
+        alive = np.flatnonzero(draws[:, 0] < cum[-1])
+        chi = members[np.searchsorted(cum, draws[alive, 0], side="right")]
+        successes[0] += alive.size
+        for n in range(1, n_steps + 1):
+            amp = chi @ vt
+            prob = np.einsum("sa,sa->s", amp, amp.conj()).real
+            ok = draws[alive, n] < prob
+            alive = alive[ok]
+            successes[n] += alive.size
+            chi = amp[ok] / np.sqrt(prob[ok])[:, None]
+        outer += chi.T @ chi.conj()
 
-    frequency = successes / float(shots)
+    frequency = successes / float(cfg.shots)
     estimate = None
     if successes[n_steps] > 0:
-        mean = np.einsum("sa,sb->ab", chi, chi.conj()) / chi.shape[0]
+        mean = outer / successes[n_steps]
         mean = (mean + mean.conj().T) / 2.0
         estimate = DensityMatrix(Operator(mean, v.factors))
     successes.setflags(write=False)

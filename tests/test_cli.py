@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zenopur import cli
 from zenopur.cli import load_config, main
 
 TAU = 2 * math.pi
@@ -603,7 +604,11 @@ def test_zero_probability_exits_two_and_writes_nothing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("via_config", [False, True])
-def test_unwritable_output_path_reported(tmp_path, capsys, via_config):
+def test_unwritable_output_path_reported(tmp_path, capsys, monkeypatch, via_config):
+    def never_called(cfg):
+        raise AssertionError("the command ran before the output path was checked")
+
+    monkeypatch.setitem(cli._COMMANDS, "run", never_called)
     dest = tmp_path / "missing" / "out.csv"
     if via_config:
         payload = model_config(output={"path": str(dest)})

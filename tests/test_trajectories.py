@@ -5,7 +5,8 @@ from zenopur.engine import DensityMatrix, ProbeSpec, fidelity, run_protocol
 from zenopur.exceptions import DimensionMismatch
 from zenopur.linalg import Operator
 from zenopur.model3q import ModelParams, bell_basis, build_hamiltonian, probe_spec
-from zenopur.trajectories import ShotConfig, ShotSummary, run_shots
+from zenopur import trajectories
+from zenopur.trajectories import ShotConfig, ShotSummary, _shot_uniforms, run_shots
 
 RIGHT = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 UP_DOWN = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
@@ -17,6 +18,18 @@ def reference_inputs():
     probe = probe_spec(p)
     rho = DensityMatrix.pure(np.kron(RIGHT, UP_DOWN), (2, 2, 2))
     return p, h, probe, rho
+
+
+def random_entangled_inputs():
+    """A random 2 x 3 system whose rank-3 start is entangled, with p0 < 1."""
+    rng = np.random.default_rng(20261018)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    h = Operator((m + m.conj().T) / 2.0, (2, 3))
+    phi = rng.normal(size=2) + 1j * rng.normal(size=2)
+    g = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    rho = g @ g.conj().T
+    rho = DensityMatrix(Operator(rho / np.trace(rho).real, (2, 3)))
+    return h, ProbeSpec(phi / np.linalg.norm(phi), 2, 3), rho
 
 
 def test_shot_config_validation():
@@ -151,3 +164,54 @@ def test_summary_arrays_read_only():
     assert isinstance(summary, ShotSummary)
     with pytest.raises(ValueError):
         summary.frequency[0] = 2.0
+
+
+def test_shot_uniform_shards_match_bulk_draw():
+    # n_steps + 1 = 6 draws per shot, padded to a row of 8
+    seed, n_steps, shots = 2**63 + 5, 5, 300
+    bulk = _shot_uniforms(seed, n_steps, 0, shots)
+    philox = np.random.Generator(np.random.Philox(key=seed))
+    assert np.array_equal(bulk, philox.random((shots, 8)))
+    for a in (1, 3, 150, 299):
+        head = _shot_uniforms(seed, n_steps, 0, a)
+        tail = _shot_uniforms(seed, n_steps, a, shots)
+        assert np.array_equal(np.vstack([head, tail]), bulk)
+
+
+def test_results_independent_of_block_size(monkeypatch):
+    h, probe, rho = random_entangled_inputs()
+    cfg = ShotConfig(shots=600, seed=4711, n_steps=5)
+    results = []
+    for rows in (1, 7, cfg.shots):
+        monkeypatch.setattr(trajectories, "_BLOCK_ROWS", rows)
+        results.append(run_shots(rho, h, 0.3, probe, cfg))
+    first = results[0]
+    for other in results[1:]:
+        assert np.array_equal(other.successes_at_step, first.successes_at_step)
+        np.testing.assert_allclose(
+            other.final_state_estimate.entries,
+            first.final_state_estimate.entries,
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+
+def test_entangled_start_sampled_on_target_space():
+    h, probe, rho = random_entangled_inputs()
+    blocks = rho.entries.reshape(2, 3, 2, 3)
+    rho_x = np.einsum("iaja->ij", blocks)
+    rho_a = np.einsum("iaib->ab", blocks)
+    assert np.linalg.norm(rho.entries - np.kron(rho_x, rho_a)) > 0.1
+    shots, n_steps = 20_000, 8
+    summary = run_shots(rho, h, 0.3, probe, ShotConfig(shots, 8128, n_steps))
+    trace = run_protocol(rho, h, 0.3, probe, n_steps)
+    assert trace.steps[0].success_prob < 0.9
+    for n, step in enumerate(trace.steps):
+        p = step.success_prob
+        bound = 4.0 * np.sqrt(max(p * (1.0 - p), 1e-12) / shots)
+        assert abs(summary.frequency[n] - p) <= bound
+    # each survivor contributes a unit projector, so the mean's Frobenius
+    # error has rms sqrt((1 - Tr rho^2) / N) <= 1 / sqrt(N)
+    survivors = int(summary.successes_at_step[-1])
+    error = summary.final_state_estimate.entries - trace.steps[-1].state.entries
+    assert np.linalg.norm(error) <= 5.0 / np.sqrt(survivors)
