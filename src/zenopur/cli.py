@@ -395,15 +395,21 @@ def _sweep_params(base: ModelParams, axis: str, value: float) -> ModelParams:
 
 
 def cmd_sweep(cfg: RunConfig) -> str:
-    """Sweep one model parameter; CSV of singlet magnitude, gap, fidelity."""
+    """Sweep one model parameter; CSV of singlet magnitude, gap, fidelity.
+
+    H and the probe do not depend on tau, so a tau sweep reuses the
+    config's and diagonalizes H once for all points.
+    """
     spec = cfg.sweep
     values = np.sort(np.linspace(spec.start, spec.stop, spec.count))
     psi_minus = bell_basis().psi_minus
+    h_tot, probe = cfg.h_tot, cfg.probe
     lines = [SWEEP_HEADER]
     for value in values:
         params = _sweep_params(cfg.params, spec.axis, float(value))
-        h_tot = build_hamiltonian(params)
-        v = projected_evolution(h_tot, params.tau, probe_spec(params))
+        if spec.axis != "tau":
+            h_tot, probe = build_hamiltonian(params), probe_spec(params)
+        v = projected_evolution(h_tot, params.tau, probe)
         report = spectral_report(v)
         u0 = report.asymptotic_state
         # blank when dominance is degenerate: no eigenvector is selected

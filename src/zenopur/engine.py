@@ -11,6 +11,11 @@ the target evolves under the projected operator
 a non-normal contraction on A whose dominant eigenvector is the state the
 protocol selects.  ``run_protocol`` iterates the exact density-matrix
 recursion; ``spectral_report`` and ``efficiency_check`` analyze V itself.
+
+V is built from the probe rows of the Hamiltonian's cached Hermitian
+spectrum (``Operator.hermitian_spectrum``), never from the full
+propagator: every call on the same ``H`` object, at any tau, shares one
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from .exceptions import (
     NoDominantEigenvalue,
     ZeroProbability,
 )
-from .linalg import Eigensystem, Operator, eig_general, matrix_exponential
+from .linalg import Eigensystem, Operator, eig_general
+from .linalg import matrix_exponential  # noqa: F401  traced by name in bench/worker.py
 
 P0_FLOOR = 1e-14
 SURVIVAL_FLOOR = 1e-300
@@ -187,6 +193,19 @@ def projected_evolution(h_tot: Operator, tau: float, probe: ProbeSpec) -> Operat
     singular value is at most 1, so eigenvalue magnitudes never exceed 1.
     This is the one place V is built; its ``factors`` are the tail of
     ``h_tot.factors`` that spans A, or ``(dim_a,)`` when none does.
+
+    With ``H = Q diag(w) Q^dag`` from the cached ``h_tot.hermitian_spectrum``
+    and the probe rows ``Q_phi = <phi|_X Q`` (dim_a x dim_total),
+
+        V = (Q_phi exp(-i w tau)) Q_phi^dag,
+
+    so no propagator on the total space is assembled, and only the first
+    call on a given ``h_tot`` diagonalizes it.
+
+    Raises
+    ------
+    NonHermitianInput
+        If ``h_tot`` is not Hermitian within ``linalg.HERMITICITY_TOL``.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -195,7 +214,9 @@ def projected_evolution(h_tot: Operator, tau: float, probe: ProbeSpec) -> Operat
             f"Hamiltonian dimension {h_tot.dim} does not match probe split "
             f"{probe.dim_x} x {probe.dim_a}"
         )
-    v = _probe_sandwich(matrix_exponential(h_tot, tau).entries, probe)
+    w, q = h_tot.hermitian_spectrum
+    q_phi = np.einsum("i,iak->ak", probe.phi_x.conj(), q.reshape(probe.dim_x, probe.dim_a, -1))
+    v = (q_phi * np.exp(-1j * w * float(tau))) @ q_phi.conj().T
     return Operator(v, _target_factors(h_tot.factors, probe.dim_x, probe.dim_a))
 
 

@@ -5,12 +5,19 @@ subsystem dimensions (``factors``).  Composite basis indices are row
 major, so under a split ``(da, db)`` the product state ``(i_a, i_b)``
 sits at index ``i_a * db + i_b``.  This is enough bookkeeping for the
 few-qubit systems targeted here without pulling in a tensor library.
+
+An ``Operator`` used as a Hamiltonian carries its Hermitian spectrum as a
+cached attribute: the Hermiticity check and ``eigh`` run on first use and
+never again for that object, so a propagator or a projected evolution at
+any number of times costs one eigendecomposition.  The cache cannot go
+stale, because the entries are copied and made read-only at construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +38,9 @@ class Operator:
     factors : tuple of int, optional
         Subsystem dimensions in tensor order.  Their product must equal
         the matrix dimension.  Defaults to the single factor ``(dim,)``.
+
+    ``hermitian_spectrum`` is computed on first access and kept; the
+    entries are a read-only copy, so it always describes them.
     """
 
     entries: np.ndarray
@@ -58,6 +68,30 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def hermitian_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues ``w`` (ascending) and orthonormal eigenvector columns
+        ``q`` of the Hermitised entries, so that ``entries ~ q diag(w) q^dag``.
+
+        Both arrays are read-only.  A failed check is not cached: it raises
+        again on every access.
+
+        Raises
+        ------
+        NonHermitianInput
+            If ``max |m - m^dag|`` exceeds ``HERMITICITY_TOL``.
+        """
+        m = self.entries
+        defect = np.max(np.abs(m - m.conj().T))
+        if defect > HERMITICITY_TOL:
+            raise NonHermitianInput(
+                f"generator deviates from Hermiticity by {defect:.3e}"
+            )
+        w, q = np.linalg.eigh((m + m.conj().T) / 2.0)
+        w.setflags(write=False)
+        q.setflags(write=False)
+        return w, q
 
 
 @dataclass(frozen=True)
@@ -89,23 +123,18 @@ class Eigensystem:
 def matrix_exponential(h: Operator, t: float) -> Operator:
     """Unitary propagator ``exp(-i h t)`` of a Hermitian generator.
 
-    The generator is diagonalized once with a Hermitian eigensolver and
-    the exponential is assembled from its spectrum, which keeps the
-    result unitary to machine precision for any ``t``.
+    The exponential is assembled from the generator's cached
+    ``hermitian_spectrum`` (the eigenvector method), which keeps the
+    result unitary to machine precision for any ``t``.  Only the first
+    call on a given ``h`` diagonalizes it; later calls build ``U`` alone.
 
     Raises
     ------
     NonHermitianInput
         If ``max |h - h^dag|`` exceeds ``HERMITICITY_TOL``.
     """
-    m = h.entries
-    defect = np.max(np.abs(m - m.conj().T))
-    if defect > HERMITICITY_TOL:
-        raise NonHermitianInput(
-            f"generator deviates from Hermiticity by {defect:.3e}"
-        )
-    w, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-    u = (vecs * np.exp(-1j * w * float(t))) @ vecs.conj().T
+    w, q = h.hermitian_spectrum
+    u = (q * np.exp(-1j * w * float(t))) @ q.conj().T
     return Operator(u, h.factors)
 
 

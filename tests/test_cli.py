@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 from argparse import Namespace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 
 from zenopur import cli
 from zenopur.cli import load_config, main
+from zenopur.engine import projected_evolution, spectral_report
+from zenopur.model3q import ModelParams, bell_basis, probe_spec, singlet_eigenvalue
 
 TAU = 2 * math.pi
 GOLDEN = Path(__file__).parent / "golden"
@@ -288,6 +291,36 @@ def test_sweep_degenerate_dominance_leaves_fidelity_blank(tmp_path, capsys):
     # tau = 0 gives V = 1: every eigenvalue has magnitude 1
     assert first[2] == "1"
     assert first[3] == ""
+
+
+def test_tau_sweep_builds_hamiltonian_once(tmp_path, capsys, monkeypatch):
+    payload = model_config()
+    payload["sweep"] = {"axis": "tau", "start": 1.0, "stop": TAU, "count": 5}
+    cfg = write_config(tmp_path, "sweep.json", payload)
+    original = cli.build_hamiltonian
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return original(params)
+
+    monkeypatch.setattr(cli, "build_hamiltonian", counted)
+    code, out, _ = run_cli(capsys, ["sweep", "--config", cfg])
+    assert code == 0
+    assert len(calls) == 1
+    # the same rows from a fresh Hamiltonian at every point
+    base = ModelParams(omega=1.0, g=0.25, tau=TAU)
+    psi_minus = bell_basis().psi_minus
+    lines = [cli.SWEEP_HEADER]
+    for value in np.sort(np.linspace(1.0, TAU, 5)):
+        params = replace(base, tau=float(value))
+        v = projected_evolution(original(params), params.tau, probe_spec(params))
+        report = spectral_report(v)
+        u0 = report.asymptotic_state
+        fid = "" if u0 is None else cli._fmt(abs(np.vdot(psi_minus, u0)) ** 2)
+        singlet = abs(singlet_eigenvalue(params))
+        lines.append(",".join(cli._fmt(x) for x in (value, singlet, report.gap_ratio)) + "," + fid)
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_sweep_alpha_angle(tmp_path, capsys):

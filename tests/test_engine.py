@@ -21,7 +21,8 @@ from zenopur.exceptions import (
     NonHermitianInput,
     ZeroProbability,
 )
-from zenopur.linalg import Operator
+from zenopur.linalg import Operator, matrix_exponential
+from zenopur.trajectories import ShotConfig, run_shots
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +160,41 @@ def test_projected_evolution_errors():
         projected_evolution(Operator(h, (2, 4)), 1.0, probe)
     with pytest.raises(ValueError):
         projected_evolution(Operator(np.zeros((8, 8), dtype=complex), (2, 4)), -1.0, probe)
+
+
+def test_non_hermitian_hamiltonian_rejected_on_every_call():
+    # a failed Hermiticity check is not cached: the second call raises too
+    probe = ProbeSpec(RIGHT, 2, 4)
+    m = np.zeros((8, 8), dtype=complex)
+    m[0, 1] = 1.0
+    h = Operator(m, (2, 4))
+    for _ in range(2):
+        with pytest.raises(NonHermitianInput):
+            projected_evolution(h, 1.0, probe)
+
+
+def test_one_hermitian_eigendecomposition_per_hamiltonian(monkeypatch):
+    rng = np.random.default_rng(53)
+    dim_x, dim_a = 2, 3
+    h = Operator(rand_hermitian(rng, dim_x * dim_a), (dim_x, dim_a))
+    probe = ProbeSpec(rand_state(rng, dim_x), dim_x, dim_a)
+    rho = DensityMatrix(Operator(rand_density(rng, dim_x * dim_a), (dim_x, dim_a)))
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(m, *args, **kwargs):
+        # the sampler's own eigh of rho'_A runs at dim_a and is not counted
+        if np.shape(m)[-1] == dim_x * dim_a:
+            calls.append(1)
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    matrix_exponential(h, 0.3)
+    for tau in (0.3, 1.1, 2.9):
+        projected_evolution(h, tau, probe)
+    run_protocol(rho, h, 1.1, probe, 3)
+    run_shots(rho, h, 1.1, probe, ShotConfig(shots=50, seed=3, n_steps=3))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +460,11 @@ def test_protocol_invariants_over_random_inputs(inputs):
     rho, h, tau, probe = inputs
     v = projected_evolution(h, tau, probe)
     assert np.linalg.norm(v.entries, 2) <= 1.0 + 1e-12
+    # V against the probe block of the full-space propagator
+    u = scipy.linalg.expm(-1j * h.entries * tau)
+    blocks = u.reshape(probe.dim_x, probe.dim_a, probe.dim_x, probe.dim_a)
+    oracle = np.einsum("i,iajb,j->ab", probe.phi_x.conj(), blocks, probe.phi_x)
+    np.testing.assert_allclose(v.entries, oracle, rtol=0, atol=1e-10)
     trace = run_protocol(rho, h, tau, probe, 8)
     p = trace.success_probabilities()
     # V is a contraction up to rounding, so P(n) may only rise by rounding

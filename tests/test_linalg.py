@@ -113,6 +113,58 @@ def test_matrix_exponential_accepts_tiny_asymmetry():
 
 
 # ---------------------------------------------------------------------------
+# hermitian_spectrum: computed once per Operator, read-only, never stale
+
+
+def test_hermitian_spectrum_reconstructs_entries():
+    rng = np.random.default_rng(41)
+    h = Operator(rand_hermitian(rng, 6))
+    w, q = h.hermitian_spectrum
+    assert np.all(np.diff(w) >= 0)
+    np.testing.assert_allclose(q.conj().T @ q, np.eye(6), atol=1e-12)
+    np.testing.assert_allclose((q * w) @ q.conj().T, h.entries, atol=1e-12)
+
+
+def test_matrix_exponential_diagonalizes_once_per_operator(monkeypatch):
+    rng = np.random.default_rng(43)
+    h = Operator(rand_hermitian(rng, 6))
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(m, *args, **kwargs):
+        calls.append(1)
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    u1 = matrix_exponential(h, 0.4).entries
+    u2 = matrix_exponential(h, 0.4).entries
+    matrix_exponential(h, 2.5)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(u1, u2)
+    # an equal but distinct Operator has its own cache
+    matrix_exponential(Operator(h.entries), 0.4)
+    assert len(calls) == 2
+
+
+def test_hermitian_spectrum_is_read_only():
+    rng = np.random.default_rng(47)
+    w, q = Operator(rand_hermitian(rng, 4)).hermitian_spectrum
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    with pytest.raises(ValueError):
+        q[0, 0] = 0.0
+
+
+def test_non_hermitian_spectrum_raises_on_every_access():
+    op = Operator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    for _ in range(2):
+        with pytest.raises(NonHermitianInput):
+            op.hermitian_spectrum
+        with pytest.raises(NonHermitianInput):
+            matrix_exponential(op, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # eig_general
 
 
