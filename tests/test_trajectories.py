@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from zenopur.engine import DensityMatrix, ProbeSpec, fidelity, run_protocol
+from zenopur.engine import (
+    DensityMatrix,
+    ProbeSpec,
+    fidelity,
+    probe_block,
+    projected_evolution,
+    run_protocol,
+)
 from zenopur.exceptions import DimensionMismatch
 from zenopur.linalg import Operator
 from zenopur.model3q import ModelParams, bell_basis, build_hamiltonian, probe_spec
@@ -30,6 +37,55 @@ def random_entangled_inputs():
     rho = g @ g.conj().T
     rho = DensityMatrix(Operator(rho / np.trace(rho).real, (2, 3)))
     return h, ProbeSpec(phi / np.linalg.norm(phi), 2, 3), rho
+
+
+def paper_mixed_inputs():
+    """The paper's mixed start |+><+| (x) (|ud><ud| + |du><du|) / 2."""
+    p, h, probe, _ = reference_inputs()
+    down_up = np.zeros(4, dtype=complex)
+    down_up[2] = 1.0
+    rho_ab = (np.outer(UP_DOWN, UP_DOWN) + np.outer(down_up, down_up)) / 2.0
+    rho = DensityMatrix(
+        Operator(np.kron(np.outer(RIGHT, RIGHT.conj()), rho_ab), (2, 2, 2))
+    )
+    return h, probe, rho, p.tau
+
+
+def per_shot_reference(rho, h, tau, probe, cfg):
+    """The sampler that evolves every survivor by V at every step.
+
+    Same draws as ``run_shots``; returns the survivor counts and the
+    unsymmetrized survivor mean (None when no shot survives).
+    """
+    weights, members = np.linalg.eigh(probe_block(rho, probe))
+    vt = projected_evolution(h, tau, probe).entries.T
+    cum = np.cumsum(np.clip(weights, 0.0, None))
+    draws = _shot_uniforms(cfg.seed, cfg.n_steps, 0, cfg.shots)
+    alive = np.flatnonzero(draws[:, 0] < cum[-1])
+    chi = members.T[np.searchsorted(cum, draws[alive, 0], side="right")]
+    successes = [alive.size]
+    for n in range(1, cfg.n_steps + 1):
+        amp = chi @ vt
+        prob = np.einsum("sa,sa->s", amp, amp.conj()).real
+        ok = draws[alive, n] < prob
+        alive = alive[ok]
+        successes.append(alive.size)
+        chi = amp[ok] / np.sqrt(prob[ok])[:, None]
+    mean = chi.T @ chi.conj() / alive.size if alive.size else None
+    return np.array(successes), mean
+
+
+def annihilating_inputs(rho_a):
+    """H = sigma_x (x) |0><0| on 2 x 2, probe |0>, start |0><0| (x) rho_a.
+
+    At tau = pi/2, V = <0|exp(-i H tau)|0> is |1><1| up to rounding
+    (|V_00| ~ 6e-17): it annihilates the member |0>.
+    """
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    h = Operator(np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), p0), (2, 2))
+    probe = ProbeSpec(np.array([1.0, 0.0]), 2, 2)
+    rho = DensityMatrix(Operator(np.kron(p0, rho_a), (2, 2)))
+    return h, probe, rho, np.pi / 2
 
 
 def test_shot_config_validation():
@@ -124,21 +180,14 @@ def test_survivor_state_matches_exact_conditional_state():
 
 
 def test_mixed_initial_state_sampled_from_ensemble():
-    p, h, probe, _ = reference_inputs()
-    basis = bell_basis()
-    down_up = np.zeros(4, dtype=complex)
-    down_up[2] = 1.0
-    rho_ab = (np.outer(UP_DOWN, UP_DOWN) + np.outer(down_up, down_up)) / 2.0
-    rho = DensityMatrix(
-        Operator(np.kron(np.outer(RIGHT, RIGHT.conj()), rho_ab), (2, 2, 2))
-    )
+    h, probe, rho, tau = paper_mixed_inputs()
     cfg = ShotConfig(shots=4000, seed=31415, n_steps=6)
-    summary = run_shots(rho, h, p.tau, probe, cfg)
-    trace = run_protocol(rho, h, p.tau, probe, 6)
+    summary = run_shots(rho, h, tau, probe, cfg)
+    trace = run_protocol(rho, h, tau, probe, 6)
     for n, step in enumerate(trace.steps):
         bound = 4.0 * np.sqrt(max(step.success_prob * (1 - step.success_prob), 1e-12) / 4000)
         assert abs(summary.frequency[n] - step.success_prob) <= bound
-    fid = fidelity(summary.final_state_estimate, basis.psi_minus)
+    fid = fidelity(summary.final_state_estimate, bell_basis().psi_minus)
     assert fid >= 0.99
 
 
@@ -215,3 +264,71 @@ def test_entangled_start_sampled_on_target_space():
     survivors = int(summary.successes_at_step[-1])
     error = summary.final_state_estimate.entries - trace.steps[-1].state.entries
     assert np.linalg.norm(error) <= 5.0 / np.sqrt(survivors)
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+@pytest.mark.parametrize("inputs", ["random-entangled", "paper-mixed"])
+def test_member_paths_follow_per_shot_law(monkeypatch, inputs, rows):
+    if inputs == "random-entangled":
+        h, probe, rho = random_entangled_inputs()
+        tau = 0.3
+    else:
+        h, probe, rho, tau = paper_mixed_inputs()
+    cfg = ShotConfig(shots=600, seed=90210, n_steps=6)
+    monkeypatch.setattr(trajectories, "_BLOCK_ROWS", rows or cfg.shots)
+    summary = run_shots(rho, h, tau, probe, cfg)
+    successes, mean = per_shot_reference(rho, h, tau, probe, cfg)
+    assert 0 < successes[-1] < successes[0]
+    assert np.array_equal(summary.successes_at_step, successes)
+    np.testing.assert_allclose(
+        summary.final_state_estimate.entries, mean, rtol=0.0, atol=1e-12
+    )
+
+
+def test_zero_steps_estimate_is_the_drawn_ensemble():
+    h, probe, rho = random_entangled_inputs()
+    cfg = ShotConfig(shots=500, seed=17, n_steps=0)
+    summary = run_shots(rho, h, 0.3, probe, cfg)
+    successes, mean = per_shot_reference(rho, h, 0.3, probe, cfg)
+    assert summary.successes_at_step.shape == (1,)
+    assert np.array_equal(summary.successes_at_step, successes)
+    estimate = summary.final_state_estimate
+    assert isinstance(estimate, Operator)
+    np.testing.assert_allclose(estimate.entries, mean, rtol=0.0, atol=1e-12)
+    assert abs(np.trace(estimate.entries) - 1.0) <= 1e-12
+
+
+def test_annihilated_member_dies_at_step_one():
+    h, probe, rho, tau = annihilating_inputs(np.eye(2, dtype=complex) / 2.0)
+    cfg = ShotConfig(shots=1000, seed=5, n_steps=3)
+    summary = run_shots(rho, h, tau, probe, cfg)
+    # rho'_A = I/2 has members |0> (draw below 1/2) and |1> (at or above)
+    member_one = int(np.sum(_shot_uniforms(cfg.seed, cfg.n_steps, 0, cfg.shots)[:, 0] >= 0.5))
+    assert 0 < member_one < cfg.shots
+    expected = [cfg.shots] + [member_one] * cfg.n_steps
+    assert summary.successes_at_step.tolist() == expected
+    estimate = summary.final_state_estimate.entries
+    assert np.all(np.isfinite(estimate))
+    np.testing.assert_allclose(estimate, np.diag([0.0, 1.0]), rtol=0.0, atol=1e-12)
+
+
+def test_exactly_annihilated_path_stays_zero(monkeypatch):
+    # V = |1><1| exactly: s = 0 on the |0> path, which must not become 0/0
+    h, probe, rho, tau = annihilating_inputs(np.eye(2, dtype=complex) / 2.0)
+    exact_v = Operator(np.diag([0.0, 1.0]), (2,))
+    monkeypatch.setattr(trajectories, "projected_evolution", lambda *args: exact_v)
+    s, x = trajectories._member_paths(np.eye(2, dtype=complex), exact_v.entries.T, 3)
+    assert np.array_equal(s, [[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+    assert np.array_equal(x, np.diag([0.0, 1.0]))
+    summary = run_shots(rho, h, tau, probe, ShotConfig(shots=400, seed=8, n_steps=2))
+    survivors = summary.successes_at_step
+    assert survivors[0] == 400 and survivors[1] == survivors[2] > 0
+    assert np.array_equal(summary.final_state_estimate.entries, np.diag([0.0, 1.0]))
+
+
+def test_no_survivor_gives_no_estimate():
+    # every shot starts in the member V annihilates and dies at step 1
+    h, probe, rho, tau = annihilating_inputs(np.diag([1.0, 0.0]).astype(complex))
+    summary = run_shots(rho, h, tau, probe, ShotConfig(shots=300, seed=6, n_steps=3))
+    assert summary.successes_at_step.tolist() == [300, 0, 0, 0]
+    assert summary.final_state_estimate is None
