@@ -357,10 +357,11 @@ def cmd_run(cfg: RunConfig) -> str:
     trace = run_protocol(
         cfg.rho_tot, cfg.h_tot, cfg.tau, cfg.probe, cfg.n_steps, target=cfg.target
     )
+    probs = trace.success_prob.tolist()
+    fids = [""] * len(probs) if trace.fidelity is None else map(_fmt, trace.fidelity.tolist())
     lines = [RUN_HEADER]
-    for step in trace.steps:
-        fid = "" if step.fidelity is None else _fmt(step.fidelity)
-        lines.append(f"{step.n},{fid},{_fmt(step.success_prob)}")
+    for n, (fid, p) in enumerate(zip(fids, probs)):
+        lines.append(f"{n},{fid},{_fmt(p)}")
     return "\n".join(lines) + "\n"
 
 
@@ -424,12 +425,8 @@ def cmd_shots(cfg: RunConfig) -> str:
     summary = run_shots(cfg.rho_tot, cfg.h_tot, cfg.tau, cfg.probe, cfg.shot_cfg)
     trace = run_protocol(cfg.rho_tot, cfg.h_tot, cfg.tau, cfg.probe, cfg.n_steps)
     lines = [SHOTS_HEADER]
-    for step in trace.steps:
-        freq = float(summary.frequency[step.n])
-        err = abs(freq - step.success_prob)
-        lines.append(
-            f"{step.n},{_fmt(freq)},{_fmt(step.success_prob)},{_fmt(err)}"
-        )
+    for n, (freq, p) in enumerate(zip(summary.frequency.tolist(), trace.success_prob.tolist())):
+        lines.append(f"{n},{_fmt(freq)},{_fmt(p)},{_fmt(abs(freq - p))}")
     return "\n".join(lines) + "\n"
 
 

@@ -9,8 +9,17 @@ the target evolves under the projected operator
     V = <phi|_X exp(-i H tau) |phi>_X,
 
 a non-normal contraction on A whose dominant eigenvector is the state the
-protocol selects.  ``run_protocol`` iterates the exact density-matrix
-recursion; ``spectral_report`` and ``efficiency_check`` analyze V itself.
+protocol selects.  ``spectral_report`` and ``efficiency_check`` analyze V
+itself.
+
+``run_protocol`` iterates the exact conditional state as a factor.  With
+lambda_k, u_k the eigenpairs of the unnormalized block
+rho'_A = <phi|rho_tot|phi> (the ensemble ``trajectories.run_shots`` draws
+from), rho_A = W S W^dag for W = [u_k sqrt(|lambda_k| / p0)] over the
+nonzero lambda_k and S = diag(sign lambda_k), so n confirmations map it to
+V^n W S (V^n W)^dag: one product W <- V W per step, on d x r instead of
+d x d for a start of rank r.  The trace is columnar: arrays of P(n), the
+fidelity and the states, with per-step objects built only when read.
 
 V is built from the probe rows of the Hamiltonian's cached Hermitian
 spectrum (``Operator.hermitian_spectrum``), never from the full
@@ -21,7 +30,8 @@ eigendecomposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +47,13 @@ P0_FLOOR = 1e-14
 SURVIVAL_FLOOR = 1e-300
 DOMINANCE_TOL = 1e-9
 STATE_TOL = 1e-10
+_STATE_BLOCK_ELEMENTS = 1 << 15  # bounds the per-block W stack and state temporaries
+
+
+def _check_psd(evals: np.ndarray) -> None:
+    """Raise the density-matrix ValueError if an eigenvalue lies below -STATE_TOL."""
+    if evals.min() < -STATE_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")
 
 
 @dataclass(frozen=True)
@@ -84,11 +101,7 @@ class DensityMatrix:
         m = self.op.entries
         if np.max(np.abs(m - m.conj().T)) > STATE_TOL:
             raise ValueError("density matrix is not Hermitian")
-        evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if evals.min() < -STATE_TOL:
-            raise ValueError(
-                f"density matrix has negative eigenvalue {evals.min():.3e}"
-            )
+        _check_psd(np.linalg.eigvalsh((m + m.conj().T) / 2.0))
         if abs(np.trace(m).real - 1.0) > STATE_TOL:
             raise ValueError(f"density matrix trace {np.trace(m)!r} is not 1")
 
@@ -152,18 +165,38 @@ class ProtocolStep:
 
 @dataclass(frozen=True)
 class ProtocolTrace:
-    """Protocol history for n = 0 .. n_steps, step 0 being the prepared state."""
+    """Protocol history for n = 0 .. n_steps as columns, step 0 being the
+    prepared state.
 
-    steps: list[ProtocolStep] = field(default_factory=list)
+    ``success_prob[n]`` is P(n), ``fidelity[n]`` the fidelity to the
+    target (``fidelity`` is None when no target was supplied) and
+    ``states[n]`` the (dim_a x dim_a) conditional state; all three arrays
+    are read-only.  ``factors`` is the target's factor signature.
+    ``steps`` builds one ``ProtocolStep`` per row on first read.
+    """
+
+    success_prob: np.ndarray
+    fidelity: np.ndarray | None
+    states: np.ndarray
+    factors: tuple[int, ...]
+
+    @cached_property
+    def steps(self) -> tuple[ProtocolStep, ...]:
+        probs = self.success_prob.tolist()
+        fids = [None] * len(probs) if self.fidelity is None else self.fidelity.tolist()
+        return tuple(
+            ProtocolStep(n=n, state=Operator(m, self.factors), success_prob=p, fidelity=f)
+            for n, (m, p, f) in enumerate(zip(self.states, probs, fids))
+        )
 
     def success_probabilities(self) -> np.ndarray:
-        return np.array([s.success_prob for s in self.steps])
+        return self.success_prob
 
     def fidelities(self) -> np.ndarray:
         """Fidelity column as floats, NaN where no target was supplied."""
-        return np.array(
-            [math.nan if s.fidelity is None else s.fidelity for s in self.steps]
-        )
+        if self.fidelity is None:
+            return np.full(self.success_prob.shape, math.nan)
+        return self.fidelity
 
 
 def _target_factors(factors: tuple[int, ...], dim_x: int, dim_a: int) -> tuple[int, ...]:
@@ -236,6 +269,20 @@ def probe_block(rho_tot: DensityMatrix, probe: ProbeSpec) -> np.ndarray:
     return (raw + raw.conj().T) / 2.0
 
 
+def _probe_ensemble(
+    rho_tot: DensityMatrix, probe: ProbeSpec
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigen-ensemble of rho'_A = ``probe_block(rho_tot, probe)``.
+
+    Returns the weights lambda_k (ascending), the unit members u_k as the
+    columns of a matrix, and p0 = Tr rho'_A.  One ``eigh`` serves both the
+    protocol's factor and the sampler's draws.
+    """
+    block = probe_block(rho_tot, probe)
+    weights, members = np.linalg.eigh(block)
+    return weights, members, float(np.trace(block).real)
+
+
 def condition_on_probe(
     rho_tot: DensityMatrix, probe: ProbeSpec
 ) -> tuple[DensityMatrix, float]:
@@ -270,15 +317,21 @@ def _checked_target(target: np.ndarray, dim: int) -> np.ndarray:
     return t
 
 
-def _overlap(t: np.ndarray, m: np.ndarray) -> float:
-    """<t| m |t> clipped to [0, 1], for a checked unit vector ``t``."""
-    val = float(np.real(t.conj() @ m @ t))
-    return min(max(val, 0.0), 1.0)
+def _overlaps(t: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """<t| m |t> for every matrix m of ``stack``, clipped to [0, 1].
+
+    ``t`` is a checked unit vector.  Each value is computed alone, so it
+    has the same bits whatever the length of the stack.
+    """
+    mt = np.einsum("nij,j->ni", stack, t)
+    vals = np.einsum("ni,ni->n", np.broadcast_to(t.conj(), mt.shape), mt).real
+    return np.clip(vals, 0.0, 1.0)
 
 
 def fidelity(rho: DensityMatrix | Operator, target: np.ndarray) -> float:
     """Fidelity <target| rho |target> against a normalized pure state."""
-    return _overlap(_checked_target(target, rho.dim), rho.entries)
+    t = _checked_target(target, rho.dim)
+    return float(_overlaps(t, rho.entries[None])[0])
 
 
 def run_protocol(
@@ -299,11 +352,17 @@ def run_protocol(
     with the step-zero convention P(0) = p0.  The success probability is
     non-increasing in n.
 
+    The recursion runs on the factor W (module docstring): W <- V W per
+    step.  The states W S W^dag / Tr[W S W^dag] are built in blocks of
+    steps bounded by ``_STATE_BLOCK_ELEMENTS``, the fidelity column with
+    them.
+
     V comes from ``projected_evolution``, which checks ``tau`` and the
-    Hamiltonian's dimension; ``condition_on_probe`` checks the state's.
-    ``target`` gets the length and unit-norm check of ``fidelity`` (and
-    its DimensionMismatch or ValueError) once, before the loop; each step
-    then only contracts it with the state.
+    Hamiltonian's dimension; ``probe_block`` checks the state's.  The
+    conditional start rho'_A / p0 must be positive semidefinite within
+    ``STATE_TOL``, as a ``DensityMatrix`` (same ValueError).  ``target``
+    gets the length and unit-norm check of ``fidelity`` (and its
+    DimensionMismatch or ValueError) once, before the loop.
 
     Raises
     ------
@@ -315,23 +374,49 @@ def run_protocol(
         raise ValueError("n_steps must be nonnegative")
     t = None if target is None else _checked_target(target, probe.dim_a)
     v = projected_evolution(h_tot, tau, probe)
-    rho_a, p0 = condition_on_probe(rho_tot, probe)
-    sigma = rho_a.entries
-    steps = []
-    for n in range(n_steps + 1):
-        if n > 0:
-            sigma = v.entries @ sigma @ v.entries.conj().T
-            sigma = (sigma + sigma.conj().T) / 2.0
-        q = float(np.trace(sigma).real)
-        p_n = p0 * q
-        if p_n < SURVIVAL_FLOOR:
+    vm = v.entries
+    weights, members, p0 = _probe_ensemble(rho_tot, probe)
+    if p0 < P0_FLOOR:
+        raise ZeroProbability(f"probe outcome probability {p0:.3e} vanishes")
+    _check_psd(weights / p0)
+    kept = weights != 0.0
+    signs = np.sign(weights[kept])
+    w = members[:, kept] * np.sqrt(np.abs(weights[kept]) / p0)
+
+    d = probe.dim_a
+    block = max(1, _STATE_BLOCK_ELEMENTS // (d * d))
+    probs = np.empty(n_steps + 1)
+    fids = None if t is None else np.empty(n_steps + 1)
+    states = np.empty((n_steps + 1, d, d), dtype=complex)
+    w_block = np.empty((min(block, n_steps + 1),) + w.shape, dtype=complex)
+    for start in range(0, n_steps + 1, block):
+        stop = min(start + block, n_steps + 1)
+        for n in range(start, stop):
+            if n > 0:
+                w = vm @ w
+            w_block[n - start] = w
+        wb = w_block[: stop - start]
+        out = states[start:stop]
+        np.matmul(wb * signs, wb.conj().transpose(0, 2, 1), out=out)
+        q = np.einsum("nii->n", out).real
+        p = p0 * q
+        # checked before dividing by q, so no 0/0 can occur
+        low = np.flatnonzero(p < SURVIVAL_FLOOR)
+        if low.size:
             raise ZeroProbability(
-                f"survival probability underflowed at step {n}"
+                f"survival probability underflowed at step {start + low[0]}"
             )
-        state = Operator(sigma / q, v.factors)
-        fid = None if t is None else _overlap(t, state.entries)
-        steps.append(ProtocolStep(n=n, state=state, success_prob=p_n, fidelity=fid))
-    return ProtocolTrace(steps)
+        probs[start:stop] = p
+        # divide the (re, im) pairs as reals: correctly rounded, and much
+        # cheaper than numpy's complex division by q + 0j
+        re_im = out.view(float)
+        re_im /= q[:, None, None]
+        if t is not None:
+            fids[start:stop] = _overlaps(t, out)
+    for col in (probs, fids, states):
+        if col is not None:
+            col.setflags(write=False)
+    return ProtocolTrace(probs, fids, states, v.factors)
 
 
 def spectral_report(

@@ -3,7 +3,8 @@
 Each shot is a string of binary Born-rule measurements of the probe
 projector: one at n = 0 and one after every period tau.  The ensemble is
 drawn on the target space: with lambda_k, u_k the eigenpairs of the
-unnormalized block rho'_A = <phi|rho_tot|phi> (``engine.probe_block``),
+unnormalized block rho'_A = <phi|rho_tot|phi> (``engine._probe_ensemble``,
+the same decomposition ``engine.run_protocol`` builds its factor from),
 a shot passes n = 0 as u_k with probability lambda_k and fails with
 probability 1 - p0 = 1 - sum_k lambda_k.  A confirmed measurement maps
 the target state deterministically, chi -> V chi / |V chi| with
@@ -28,8 +29,10 @@ All draws come from one Philox stream keyed by the seed.  Row i of a
 (shots, per_shot) array of uniforms belongs to shot i: column 0 decides
 n = 0, column n the measurement at step n.  per_shot is n_steps + 1
 rounded up to a multiple of 4, the Philox block, so any range of rows
-starts at a known counter.  Shots run in row blocks of bounded size;
-results are reproducible bit for bit and independent of the block size.
+starts at a known counter.  Shots run in row blocks of at most
+``_BLOCK_UNIFORMS`` uniforms (at least one row), so the draws and the
+survival lookups of a block stay bounded however long the run; results
+are reproducible bit for bit and independent of the block size.
 """
 
 from __future__ import annotations
@@ -38,11 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DensityMatrix, ProbeSpec, probe_block, projected_evolution
+from .engine import DensityMatrix, ProbeSpec, _probe_ensemble, projected_evolution
 from .linalg import Operator
 from .linalg import matrix_exponential  # noqa: F401  traced by name in bench/worker.py
 
-_BLOCK_ROWS = 4096  # shots per row block; bounds the memory of draws and survival lookups
+_BLOCK_UNIFORMS = 1 << 16  # uniforms per row block; bounds the draws and survival lookups
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,11 @@ class ShotSummary:
     final_state_estimate: Operator | None
 
 
+def _per_shot(n_steps: int) -> int:
+    """Uniforms per shot row: n_steps + 1 rounded up to a multiple of 4."""
+    return (n_steps + 4) // 4 * 4
+
+
 def _shot_uniforms(seed: int, n_steps: int, start: int, stop: int) -> np.ndarray:
     """Rows ``start:stop`` of the (shots, per_shot) uniforms of shot records.
 
@@ -90,7 +98,7 @@ def _shot_uniforms(seed: int, n_steps: int, start: int, stop: int) -> np.ndarray
     Philox counter step yields 4 draws and per_shot is a multiple of 4,
     so row ``start`` begins exactly ``start * per_shot // 4`` steps in.
     """
-    per_shot = (n_steps + 4) // 4 * 4  # n_steps + 1 rounded up to a multiple of 4
+    per_shot = _per_shot(n_steps)
     bitgen = np.random.Philox(key=seed).advance(start * per_shot // 4)
     return np.random.Generator(bitgen).random((stop - start, per_shot))
 
@@ -133,7 +141,7 @@ def run_shots(
     sum_k c_k x_k x_k^dag / sum_k c_k over the c_k survivors of member k.
     The counts and the estimate are those of evolving every survivor.
     """
-    weights, members = np.linalg.eigh(probe_block(rho_tot, probe))
+    weights, members, _ = _probe_ensemble(rho_tot, probe)
     v = projected_evolution(h_tot, tau, probe)
     cum = np.cumsum(np.clip(weights, 0.0, None))
     members = members.T  # row k is the unit eigenvector of lambda_k
@@ -149,8 +157,9 @@ def run_shots(
     final = np.zeros((1, dim_a), dtype=complex)
     counts = np.zeros(1, dtype=np.int64)  # shots alive at n_steps, per path
     successes = np.zeros(n_steps + 1, dtype=np.int64)
-    for start in range(0, cfg.shots, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, cfg.shots)
+    rows_per_block = max(1, _BLOCK_UNIFORMS // _per_shot(n_steps))
+    for start in range(0, cfg.shots, rows_per_block):
+        stop = min(start + rows_per_block, cfg.shots)
         draws = _shot_uniforms(cfg.seed, n_steps, start, stop)
         # one uniform picks member k with probability lambda_k
         k = np.searchsorted(cum, draws[:, 0], side="right")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from zenopur.engine import (
+    SURVIVAL_FLOOR,
     DensityMatrix,
     ProbeSpec,
     condition_on_probe,
@@ -48,6 +49,27 @@ def full_space_trace(rho_tot, h, tau, phi, dim_x, dim_a, n_steps):
         states.append(rho_a / norm_a)
         probs.append(p)
     return states, probs
+
+
+def dense_reference(rho_tot, h, tau, probe, n_steps, target=None):
+    """The dense recursion sigma <- V sigma V^dag that ``run_protocol``
+    iterated before the factor: returns P(n), the states and the
+    fidelities, and raises the same ZeroProbability on underflow."""
+    v = projected_evolution(h, tau, probe).entries
+    rho_a, p0 = condition_on_probe(rho_tot, probe)
+    sigma = rho_a.entries
+    probs, states = [], []
+    for n in range(n_steps + 1):
+        if n > 0:
+            sigma = v @ sigma @ v.conj().T
+            sigma = (sigma + sigma.conj().T) / 2.0
+        q = float(np.trace(sigma).real)
+        if p0 * q < SURVIVAL_FLOOR:
+            raise ZeroProbability(f"survival probability underflowed at step {n}")
+        probs.append(p0 * q)
+        states.append(sigma / q)
+    fids = None if target is None else [np.real(target.conj() @ m @ target) for m in states]
+    return np.array(probs), np.array(states), fids
 
 
 def rand_hermitian(rng, dim, scale=1.0):
@@ -310,6 +332,100 @@ def test_run_protocol_underflow_guard():
     rho = DensityMatrix(Operator(np.eye(4, dtype=complex) / 4.0, (2, 2)))
     with pytest.raises(ZeroProbability):
         run_protocol(rho, Operator(h, (2, 2)), np.pi / 2, probe, 50)
+
+
+def paper_start(kind):
+    """The paper's starts on the model's 2 x 4 split: ``product`` is
+    |+> (x) |ud> (rank 1), ``mixed`` is |+><+| (x) (|ud><ud| + |du><du|)/2
+    (rank 2)."""
+    down_up = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
+    if kind == "product":
+        rho_ab = np.outer(UP_DOWN, UP_DOWN)
+    else:
+        rho_ab = (np.outer(UP_DOWN, UP_DOWN) + np.outer(down_up, down_up)) / 2.0
+    return DensityMatrix(Operator(np.kron(np.outer(RIGHT, RIGHT), rho_ab), (2, 2, 2)))
+
+
+def factor_starts(kind):
+    """(rho_tot, H, tau, probe, target) of one start of the factor tests."""
+    if kind in ("paper-product", "paper-mixed"):
+        p, h, probe = reference_setup()
+        return paper_start(kind.removeprefix("paper-")), h, p.tau, probe, PSI_MINUS
+    rng = np.random.default_rng(61)
+    if kind == "random-full-rank":
+        h = Operator(rand_hermitian(rng, 6, 1.3), (2, 3))
+        probe = ProbeSpec(rand_state(rng, 2), 2, 3)
+        rho = rand_density(rng, 6)
+    else:
+        # |chi><chi| (x) rho_a with rho_a indefinite: eigenvalues 0.6, 0.4
+        # and +-1e-11, inside STATE_TOL
+        h = Operator(rand_hermitian(rng, 8, 1.3), (2, 4))
+        probe = ProbeSpec(rand_state(rng, 2), 2, 4)
+        u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        rho_a = (u * [0.6, 0.4, 1e-11, -1e-11]) @ u.conj().T
+        chi = rand_state(rng, 2)
+        rho = np.kron(np.outer(chi, chi.conj()), rho_a)
+    return DensityMatrix(Operator(rho, (2, probe.dim_a))), h, 0.8, probe, rand_state(rng, probe.dim_a)
+
+
+@pytest.mark.parametrize(
+    "kind", ["paper-product", "paper-mixed", "random-full-rank", "indefinite"]
+)
+def test_factor_recursion_matches_dense_reference(kind):
+    rho, h, tau, probe, target = factor_starts(kind)
+    trace = run_protocol(rho, h, tau, probe, 60, target=target)
+    probs, states, fids = dense_reference(rho, h, tau, probe, 60, target)
+    np.testing.assert_allclose(trace.success_prob, probs, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(trace.states, states, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trace.fidelity, fids, rtol=0, atol=1e-12)
+    assert trace.states.shape == (61, probe.dim_a, probe.dim_a)
+    assert [step.n for step in trace.steps] == list(range(61))
+
+
+def test_detuned_run_underflows_at_the_reference_step():
+    p, h, probe = reference_setup()
+    rho = paper_start("product")
+    args = (rho, h, 2.2 * np.pi, probe, 8000)
+    with pytest.raises(ZeroProbability) as reference:
+        dense_reference(*args)
+    with pytest.raises(ZeroProbability) as factor:
+        run_protocol(*args)
+    assert str(factor.value) == str(reference.value)
+    assert str(factor.value).endswith("step 6876")
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 501])
+def test_fidelity_column_is_fidelity_bit_for_bit(length):
+    p, h, probe = reference_setup()
+    trace = run_protocol(paper_start("mixed"), h, p.tau, probe, length - 1, target=PSI_MINUS)
+    assert trace.fidelity.shape == (length,)
+    for n in range(length):
+        assert trace.fidelity[n] == fidelity(Operator(trace.states[n]), PSI_MINUS)
+        assert trace.steps[n].fidelity == trace.fidelity[n]
+
+
+def test_non_psd_conditional_start_rejected():
+    # rho_tot's eigenvalue -5e-11 passes STATE_TOL, but conditioning on a
+    # probe outcome of probability 1e-3 scales it to -5e-8
+    rho = DensityMatrix(Operator(np.diag([1e-3, -5e-11, 1.0 - 1e-3 + 5e-11, 0.0]), (2, 2)))
+    probe = ProbeSpec(np.array([1.0, 0.0]), 2, 2)
+    h = Operator(np.zeros((4, 4)), (2, 2))
+    with pytest.raises(ValueError) as reference:
+        condition_on_probe(rho, probe)
+    with pytest.raises(ValueError) as factor:
+        run_protocol(rho, h, 1.0, probe, 3)
+    assert str(factor.value) == str(reference.value)
+    assert "negative eigenvalue" in str(factor.value)
+
+
+def test_trace_columns_are_read_only():
+    p, h, probe = reference_setup()
+    trace = run_protocol(paper_start("product"), h, p.tau, probe, 4)
+    assert trace.fidelity is None
+    assert np.all(np.isnan(trace.fidelities()))
+    for col in (trace.success_prob, trace.states):
+        with pytest.raises(ValueError):
+            col[0] = 0.0
 
 
 # ---------------------------------------------------------------------------

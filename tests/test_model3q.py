@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zenopur.engine import projected_evolution, spectral_report
 from zenopur.exceptions import BranchUnavailable
@@ -256,3 +258,47 @@ def test_conditions_imply_singlet_dominance():
         assert report.dominant_unique
         overlap = abs(np.vdot(psi_minus, report.asymptotic_state)) ** 2
         assert overlap >= 1.0 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# closed forms against the numerics over random parameters
+
+
+@st.composite
+def model_params(draw):
+    theta = draw(st.floats(0.0, math.pi / 2))
+    pa, pb = draw(st.floats(0.0, 2 * math.pi)), draw(st.floats(0.0, 2 * math.pi))
+    return ModelParams(
+        omega=draw(st.floats(-2.0, 2.0)),
+        g=draw(st.floats(-1.0, 1.0)),
+        tau=draw(st.floats(0.0, 6.0)),
+        alpha=math.cos(theta) * cmath.exp(1j * pa),
+        beta=math.sin(theta) * cmath.exp(1j * pb),
+    )
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(model_params())
+def test_closed_forms_match_numerics_over_random_params(p):
+    v = numeric_v(p).entries
+    np.testing.assert_allclose(analytic_v_phi(p).entries, v, rtol=0, atol=1e-10)
+    psi_minus = bell_basis().psi_minus
+    residual = v @ psi_minus - singlet_eigenvalue(p) * psi_minus
+    assert np.linalg.norm(residual) <= 1e-10
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    st.floats(0.2, 2.0), st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0), st.integers(1, 3)
+)
+def test_analytic_spectrum_matches_numerics_on_tuned_branch(omega, sign, g, periods):
+    p = ModelParams(omega=sign * omega, g=g, tau=2 * math.pi * periods / omega)
+    analytic = np.array(list(analytic_eigenvalues(p)))
+    # a near-coincident pair is ill-conditioned (a Jordan block in the
+    # limit), so numeric eigenvalues there are only good to sqrt(eps)
+    gaps = np.abs(analytic[:, None] - analytic[None, :]) + np.eye(4)
+    assume(gaps.min() > 1e-3)
+    numeric = eig_general(numeric_v(p)).eigenvalues
+    dist = np.abs(analytic[:, None] - numeric[None, :])
+    assert dist.min(axis=1).max() <= 1e-8
+    assert dist.min(axis=0).max() <= 1e-8

@@ -75,6 +75,11 @@ def per_shot_reference(rho, h, tau, probe, cfg):
     return np.array(successes), mean
 
 
+def set_block_rows(monkeypatch, rows, n_steps):
+    """Make ``run_shots`` draw ``rows`` shots per row block."""
+    monkeypatch.setattr(trajectories, "_BLOCK_UNIFORMS", rows * trajectories._per_shot(n_steps))
+
+
 def annihilating_inputs(rho_a):
     """H = sigma_x (x) |0><0| on 2 x 2, probe |0>, start |0><0| (x) rho_a.
 
@@ -232,7 +237,7 @@ def test_results_independent_of_block_size(monkeypatch):
     cfg = ShotConfig(shots=600, seed=4711, n_steps=5)
     results = []
     for rows in (1, 7, cfg.shots):
-        monkeypatch.setattr(trajectories, "_BLOCK_ROWS", rows)
+        set_block_rows(monkeypatch, rows, cfg.n_steps)
         results.append(run_shots(rho, h, 0.3, probe, cfg))
     first = results[0]
     for other in results[1:]:
@@ -243,6 +248,28 @@ def test_results_independent_of_block_size(monkeypatch):
             rtol=0.0,
             atol=1e-12,
         )
+
+
+def test_long_runs_draw_blocks_within_the_uniform_budget(monkeypatch):
+    p, h, probe, rho = reference_inputs()
+    cfg = ShotConfig(shots=300, seed=31, n_steps=2000)
+    shapes = []
+
+    def recorded(*args):
+        draws = _shot_uniforms(*args)
+        shapes.append(draws.shape)
+        return draws
+
+    monkeypatch.setattr(trajectories, "_shot_uniforms", recorded)
+    summary = run_shots(rho, h, p.tau, probe, cfg)
+    assert len(shapes) > 1
+    assert all(rows * per_shot <= trajectories._BLOCK_UNIFORMS for rows, per_shot in shapes)
+    assert sum(rows for rows, _ in shapes) == cfg.shots
+    set_block_rows(monkeypatch, 1, cfg.n_steps)
+    one_row = run_shots(rho, h, p.tau, probe, cfg)
+    assert len(shapes) > cfg.shots
+    assert 0 < summary.successes_at_step[-1] < cfg.shots
+    assert np.array_equal(summary.successes_at_step, one_row.successes_at_step)
 
 
 def test_entangled_start_sampled_on_target_space():
@@ -275,7 +302,7 @@ def test_member_paths_follow_per_shot_law(monkeypatch, inputs, rows):
     else:
         h, probe, rho, tau = paper_mixed_inputs()
     cfg = ShotConfig(shots=600, seed=90210, n_steps=6)
-    monkeypatch.setattr(trajectories, "_BLOCK_ROWS", rows or cfg.shots)
+    set_block_rows(monkeypatch, rows or cfg.shots, cfg.n_steps)
     summary = run_shots(rho, h, tau, probe, cfg)
     successes, mean = per_shot_reference(rho, h, tau, probe, cfg)
     assert 0 < successes[-1] < successes[0]
