@@ -18,10 +18,11 @@ from zenopur import (
     ShotConfig,
     bell_basis,
     build_hamiltonian,
+    condition,
+    evolve,
     fidelity,
     probe_spec,
-    run_protocol,
-    run_shots,
+    sample,
 )
 
 params = ModelParams(omega=1.0, g=0.25, tau=2.0 * math.pi)
@@ -34,9 +35,12 @@ state = DensityMatrix.pure(np.kron(right, up_down), factors=(2, 4))
 h = build_hamiltonian(params)
 probe = probe_spec(params)
 
+# V and the ensemble of <phi|rho|phi> are built once, for the shots and the
+# exact column alike
+system = condition(state, h, params.tau, probe)
 cfg = ShotConfig(shots=20_000, seed=7, n_steps=10)
-summary = run_shots(state, h, params.tau, probe, cfg)
-exact = run_protocol(state, h, params.tau, probe, n_steps=10)
+summary = sample(system, cfg)
+exact = evolve(system, n_steps=10)
 
 print(f"{cfg.shots} shots, seed {cfg.seed}")
 print(f"{'n':>3} {'survivors':>10} {'frequency':>10} {'exact P':>10} {'error':>9}")
@@ -56,5 +60,5 @@ fid = fidelity(est, bell.psi_minus)
 print(f"survivor-averaged state fidelity to |Psi->: {fid:.6f}")
 
 # Same seed, same record: the sampler is reproducible bit for bit.
-again = run_shots(state, h, params.tau, probe, cfg)
+again = sample(system, cfg)
 print(f"identical rerun: {np.array_equal(summary.frequency, again.frequency)}")

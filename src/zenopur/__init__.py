@@ -16,18 +16,22 @@ from .exceptions import (
     DimensionMismatch,
     NoDominantEigenvalue,
     NonHermitianInput,
+    NotPositiveSemidefinite,
     ZenopurError,
     ZeroProbability,
 )
 from .linalg import Eigensystem, Operator, eig_general, matrix_exponential
 from .engine import (
+    Conditioned,
     DensityMatrix,
     ProbeSpec,
     ProtocolStep,
     ProtocolTrace,
     SpectralReport,
+    condition,
     condition_on_probe,
     efficiency_check,
+    evolve,
     fidelity,
     projected_evolution,
     run_protocol,
@@ -46,7 +50,7 @@ from .model3q import (
     probe_spec,
     singlet_eigenvalue,
 )
-from .trajectories import ShotConfig, ShotSummary, run_shots
+from .trajectories import ShotConfig, ShotSummary, run_shots, sample
 
 __version__ = "0.1.0"
 
@@ -54,6 +58,7 @@ __all__ = [
     "BellBasis",
     "BranchUnavailable",
     "ConditionFlags",
+    "Conditioned",
     "ConvergenceFailure",
     "DensityMatrix",
     "DimensionMismatch",
@@ -62,6 +67,7 @@ __all__ = [
     "ModelParams",
     "NoDominantEigenvalue",
     "NonHermitianInput",
+    "NotPositiveSemidefinite",
     "Operator",
     "ProbeSpec",
     "ProtocolStep",
@@ -76,8 +82,10 @@ __all__ = [
     "bell_basis",
     "build_hamiltonian",
     "check_conditions",
+    "condition",
     "condition_on_probe",
     "efficiency_check",
+    "evolve",
     "eig_general",
     "fidelity",
     "matrix_exponential",
@@ -85,6 +93,7 @@ __all__ = [
     "projected_evolution",
     "run_protocol",
     "run_shots",
+    "sample",
     "singlet_eigenvalue",
     "spectral_report",
 ]

@@ -31,6 +31,8 @@ import numpy as np
 from .engine import (
     DensityMatrix,
     ProbeSpec,
+    condition,
+    evolve,
     projected_evolution,
     run_protocol,
     spectral_report,
@@ -46,7 +48,8 @@ from .model3q import (
     probe_spec,
     singlet_eigenvalue,
 )
-from .trajectories import ShotConfig, run_shots
+from .trajectories import ShotConfig, sample
+from .trajectories import run_shots  # noqa: F401  traced by name in bench/worker.py
 
 RUN_HEADER = "n,fidelity,success_probability"
 SWEEP_HEADER = "value,singlet_magnitude,gap_ratio,dominant_fidelity"
@@ -421,9 +424,10 @@ def cmd_sweep(cfg: RunConfig) -> str:
 
 
 def cmd_shots(cfg: RunConfig) -> str:
-    """Monte Carlo shot frequencies against the exact protocol, as CSV."""
-    summary = run_shots(cfg.rho_tot, cfg.h_tot, cfg.tau, cfg.probe, cfg.shot_cfg)
-    trace = run_protocol(cfg.rho_tot, cfg.h_tot, cfg.tau, cfg.probe, cfg.n_steps)
+    """Monte Carlo shot frequencies against the exact P(n) of the same system, as CSV."""
+    system = condition(cfg.rho_tot, cfg.h_tot, cfg.tau, cfg.probe)
+    trace = evolve(system, cfg.n_steps)
+    summary = sample(system, cfg.shot_cfg)
     lines = [SHOTS_HEADER]
     for n, (freq, p) in enumerate(zip(summary.frequency.tolist(), trace.success_prob.tolist())):
         lines.append(f"{n},{_fmt(freq)},{_fmt(p)},{_fmt(abs(freq - p))}")

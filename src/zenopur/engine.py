@@ -12,14 +12,14 @@ a non-normal contraction on A whose dominant eigenvector is the state the
 protocol selects.  ``spectral_report`` and ``efficiency_check`` analyze V
 itself.
 
-``run_protocol`` iterates the exact conditional state as a factor.  With
-lambda_k, u_k the eigenpairs of the unnormalized block
-rho'_A = <phi|rho_tot|phi> (the ensemble ``trajectories.run_shots`` draws
-from), rho_A = W S W^dag for W = [u_k sqrt(|lambda_k| / p0)] over the
-nonzero lambda_k and S = diag(sign lambda_k), so n confirmations map it to
-V^n W S (V^n W)^dag: one product W <- V W per step, on d x r instead of
-d x d for a start of rank r.  The trace is columnar: arrays of P(n), the
-fidelity and the states, with per-step objects built only when read.
+``condition`` builds V and the eigenpairs lambda_k, u_k of the block
+rho'_A = <phi|rho_tot|phi> once, as one ``Conditioned`` system: ``evolve``
+iterates the exact conditional state on it, and ``trajectories.sample``
+draws its shots from it.  rho_A = W S W^dag for W = [u_k sqrt(|lambda_k| / p0)]
+over the nonzero lambda_k and S = diag(sign lambda_k), so n confirmations
+map it to V^n W S (V^n W)^dag: one product W <- V W per step, on d x r
+instead of d x d for a start of rank r.  The trace is columnar: arrays of
+P(n), the fidelity and the states, with per-step objects built only when read.
 
 V is built from the probe rows of the Hamiltonian's cached Hermitian
 spectrum (``Operator.hermitian_spectrum``), never from the full
@@ -38,6 +38,7 @@ import numpy as np
 from .exceptions import (
     DimensionMismatch,
     NoDominantEigenvalue,
+    NotPositiveSemidefinite,
     ZeroProbability,
 )
 from .linalg import Eigensystem, Operator, eig_general
@@ -51,9 +52,9 @@ _STATE_BLOCK_ELEMENTS = 1 << 15  # bounds the per-block W stack and state tempor
 
 
 def _check_psd(evals: np.ndarray) -> None:
-    """Raise the density-matrix ValueError if an eigenvalue lies below -STATE_TOL."""
+    """Raise NotPositiveSemidefinite if an eigenvalue lies below -STATE_TOL."""
     if evals.min() < -STATE_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")
+        raise NotPositiveSemidefinite(f"density matrix has negative eigenvalue {evals.min():.3e}")
 
 
 @dataclass(frozen=True)
@@ -269,18 +270,47 @@ def probe_block(rho_tot: DensityMatrix, probe: ProbeSpec) -> np.ndarray:
     return (raw + raw.conj().T) / 2.0
 
 
-def _probe_ensemble(
-    rho_tot: DensityMatrix, probe: ProbeSpec
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigen-ensemble of rho'_A = ``probe_block(rho_tot, probe)``.
+@dataclass(frozen=True)
+class Conditioned:
+    """The conditioned system of one config, built by ``condition``.
 
-    Returns the weights lambda_k (ascending), the unit members u_k as the
-    columns of a matrix, and p0 = Tr rho'_A.  One ``eigh`` serves both the
-    protocol's factor and the sampler's draws.
+    ``v`` is the projected evolution operator V on A, ``weights`` (ascending,
+    read-only) and the columns of ``members`` (read-only) the eigenpairs
+    lambda_k, u_k of rho'_A = ``probe_block(rho_tot, probe)``, and ``p0`` its
+    trace.  ``evolve`` and ``trajectories.sample`` both run on it.
     """
+
+    v: Operator
+    weights: np.ndarray
+    members: np.ndarray
+    p0: float
+
+
+def condition(
+    rho_tot: DensityMatrix, h_tot: Operator, tau: float, probe: ProbeSpec
+) -> Conditioned:
+    """V and the eigen-ensemble of rho'_A, built and checked once.
+
+    ``projected_evolution`` checks ``tau`` and the Hamiltonian's dimension,
+    ``probe_block`` the state's.  When p0 >= ``P0_FLOOR``, rho'_A / p0 must
+    be positive semidefinite within ``STATE_TOL``, as a ``DensityMatrix``.
+    A smaller p0 is left to the caller: ``evolve`` rejects it, and
+    ``trajectories.sample`` lets a shot pass n = 0 with probability p0.
+
+    Raises
+    ------
+    NotPositiveSemidefinite
+        A ValueError, if rho'_A / p0 has an eigenvalue below -STATE_TOL.
+    """
+    v = projected_evolution(h_tot, tau, probe)
     block = probe_block(rho_tot, probe)
     weights, members = np.linalg.eigh(block)
-    return weights, members, float(np.trace(block).real)
+    p0 = float(np.trace(block).real)
+    if p0 >= P0_FLOOR:
+        _check_psd(weights / p0)
+    weights.setflags(write=False)
+    members.setflags(write=False)
+    return Conditioned(v, weights, members, p0)
 
 
 def condition_on_probe(
@@ -334,15 +364,8 @@ def fidelity(rho: DensityMatrix | Operator, target: np.ndarray) -> float:
     return float(_overlaps(t, rho.entries[None])[0])
 
 
-def run_protocol(
-    rho_tot: DensityMatrix,
-    h_tot: Operator,
-    tau: float,
-    probe: ProbeSpec,
-    n_steps: int,
-    target: np.ndarray | None = None,
-) -> ProtocolTrace:
-    """Iterate the conditional protocol for n = 0 .. n_steps.
+def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) -> ProtocolTrace:
+    """Iterate the conditional protocol on ``system`` for n = 0 .. n_steps.
 
     Step n holds the target state after n successful probe measurements,
 
@@ -355,14 +378,8 @@ def run_protocol(
     The recursion runs on the factor W (module docstring): W <- V W per
     step.  The states W S W^dag / Tr[W S W^dag] are built in blocks of
     steps bounded by ``_STATE_BLOCK_ELEMENTS``, the fidelity column with
-    them.
-
-    V comes from ``projected_evolution``, which checks ``tau`` and the
-    Hamiltonian's dimension; ``probe_block`` checks the state's.  The
-    conditional start rho'_A / p0 must be positive semidefinite within
-    ``STATE_TOL``, as a ``DensityMatrix`` (same ValueError).  ``target``
-    gets the length and unit-norm check of ``fidelity`` (and its
-    DimensionMismatch or ValueError) once, before the loop.
+    them.  ``target`` gets the length and unit-norm check of ``fidelity``
+    (and its DimensionMismatch or ValueError) once, before the loop.
 
     Raises
     ------
@@ -372,18 +389,15 @@ def run_protocol(
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    t = None if target is None else _checked_target(target, probe.dim_a)
-    v = projected_evolution(h_tot, tau, probe)
-    vm = v.entries
-    weights, members, p0 = _probe_ensemble(rho_tot, probe)
+    vm, d = system.v.entries, system.v.dim
+    t = None if target is None else _checked_target(target, d)
+    weights, members, p0 = system.weights, system.members, system.p0
     if p0 < P0_FLOOR:
         raise ZeroProbability(f"probe outcome probability {p0:.3e} vanishes")
-    _check_psd(weights / p0)
     kept = weights != 0.0
     signs = np.sign(weights[kept])
     w = members[:, kept] * np.sqrt(np.abs(weights[kept]) / p0)
 
-    d = probe.dim_a
     block = max(1, _STATE_BLOCK_ELEMENTS // (d * d))
     probs = np.empty(n_steps + 1)
     fids = None if t is None else np.empty(n_steps + 1)
@@ -416,7 +430,15 @@ def run_protocol(
     for col in (probs, fids, states):
         if col is not None:
             col.setflags(write=False)
-    return ProtocolTrace(probs, fids, states, v.factors)
+    return ProtocolTrace(probs, fids, states, system.v.factors)
+
+
+def run_protocol(
+    rho_tot: DensityMatrix, h_tot: Operator, tau: float, probe: ProbeSpec,
+    n_steps: int, target: np.ndarray | None = None,
+) -> ProtocolTrace:
+    """``evolve(condition(rho_tot, h_tot, tau, probe), n_steps, target)``."""
+    return evolve(condition(rho_tot, h_tot, tau, probe), n_steps, target)
 
 
 def spectral_report(

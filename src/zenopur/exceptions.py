@@ -17,6 +17,10 @@ class DimensionMismatch(ZenopurError):
     """Operands live on incompatible Hilbert-space dimensions."""
 
 
+class NotPositiveSemidefinite(ZenopurError, ValueError):
+    """A density matrix has an eigenvalue below the state tolerance."""
+
+
 class ZeroProbability(ZenopurError):
     """A conditional state is undefined because its probability vanished."""
 

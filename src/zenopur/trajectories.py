@@ -3,14 +3,14 @@
 Each shot is a string of binary Born-rule measurements of the probe
 projector: one at n = 0 and one after every period tau.  The ensemble is
 drawn on the target space: with lambda_k, u_k the eigenpairs of the
-unnormalized block rho'_A = <phi|rho_tot|phi> (``engine._probe_ensemble``,
-the same decomposition ``engine.run_protocol`` builds its factor from),
-a shot passes n = 0 as u_k with probability lambda_k and fails with
-probability 1 - p0 = 1 - sum_k lambda_k.  A confirmed measurement maps
-the target state deterministically, chi -> V chi / |V chi| with
-V = <phi|_X exp(-i H tau) |phi>_X (``engine.projected_evolution``), so
-every shot that starts in u_k follows one path (the no-jump picture of
-Dalibard, Castin and Molmer):
+unnormalized block rho'_A = <phi|rho_tot|phi>, held by the
+``engine.Conditioned`` system that ``engine.condition`` builds (the same
+ensemble ``engine.evolve`` factors), a shot passes n = 0 as u_k with
+probability lambda_k and fails with probability 1 - p0 = 1 - sum_k lambda_k.
+A confirmed measurement maps the target state deterministically,
+chi -> V chi / |V chi| with V = <phi|_X exp(-i H tau) |phi>_X (the
+system's ``v``), so every shot that starts in u_k follows one path (the
+no-jump picture of Dalibard, Castin and Molmer):
 
     x_k(0) = u_k,   s_k(n) = |V x_k(n-1)|^2,   x_k(n) = V x_k(n-1) / sqrt(s_k(n)).
 
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DensityMatrix, ProbeSpec, _probe_ensemble, projected_evolution
+from .engine import Conditioned, DensityMatrix, ProbeSpec, condition
 from .linalg import Operator
 from .linalg import matrix_exponential  # noqa: F401  traced by name in bench/worker.py
 
@@ -121,14 +121,8 @@ def _member_paths(u: np.ndarray, vt: np.ndarray, n_steps: int) -> tuple[np.ndarr
     return s, x
 
 
-def run_shots(
-    rho_tot: DensityMatrix,
-    h_tot: Operator,
-    tau: float,
-    probe: ProbeSpec,
-    cfg: ShotConfig,
-) -> ShotSummary:
-    """Run ``cfg.shots`` independent trajectories of the protocol.
+def sample(system: Conditioned, cfg: ShotConfig) -> ShotSummary:
+    """Run ``cfg.shots`` independent trajectories of the protocol on ``system``.
 
     Step n of the returned summary counts the shots whose first n+1
     measurements (the conditioning one at n = 0 included) all found the
@@ -141,12 +135,10 @@ def run_shots(
     sum_k c_k x_k x_k^dag / sum_k c_k over the c_k survivors of member k.
     The counts and the estimate are those of evolving every survivor.
     """
-    weights, members, _ = _probe_ensemble(rho_tot, probe)
-    v = projected_evolution(h_tot, tau, probe)
-    cum = np.cumsum(np.clip(weights, 0.0, None))
-    members = members.T  # row k is the unit eigenvector of lambda_k
-    vt = v.entries.T
-    dim_a, n_steps = probe.dim_a, cfg.n_steps
+    cum = np.cumsum(np.clip(system.weights, 0.0, None))
+    members = system.members.T  # row k is the unit eigenvector of lambda_k
+    vt = system.v.entries.T
+    dim_a, n_steps = system.v.dim, cfg.n_steps
 
     # Path rows of the survival table and final states.  Member index
     # dim_a, which a uniform at or above sum_k lambda_k = p0 picks, is the
@@ -180,7 +172,14 @@ def run_shots(
     if successes[n_steps] > 0:
         mean = (final.T * counts) @ final.conj() / successes[n_steps]
         mean = (mean + mean.conj().T) / 2.0
-        estimate = Operator(mean, v.factors)
+        estimate = Operator(mean, system.v.factors)
     successes.setflags(write=False)
     frequency.setflags(write=False)
     return ShotSummary(successes, frequency, estimate)
+
+
+def run_shots(
+    rho_tot: DensityMatrix, h_tot: Operator, tau: float, probe: ProbeSpec, cfg: ShotConfig
+) -> ShotSummary:
+    """``sample(condition(rho_tot, h_tot, tau, probe), cfg)``."""
+    return sample(condition(rho_tot, h_tot, tau, probe), cfg)

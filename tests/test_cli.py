@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zenopur import cli
+from zenopur import cli, engine
 from zenopur.cli import load_config, main
 from zenopur.engine import projected_evolution, spectral_report
 from zenopur.model3q import ModelParams, bell_basis, probe_spec, singlet_eigenvalue
@@ -634,6 +634,39 @@ def test_zero_probability_exits_two_and_writes_nothing(tmp_path, capsys):
     assert code == 2
     assert "ZeroProbability" in err
     assert not dest.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "shots"])
+def test_non_psd_conditional_start_exits_two_and_writes_nothing(tmp_path, capsys, command):
+    # rho_tot passes STATE_TOL, but rho'_A / p0 has the eigenvalue -5e-11 / 1e-3
+    dest = tmp_path / "never.csv"
+    payload = custom_config()
+    payload["initial_state"] = np.diag([1e-3 + 5e-11, -5e-11, 1.0 - 1e-3, 0.0]).tolist()
+    cfg = write_config(tmp_path, "non_psd.json", payload)
+    code, out, err = run_cli(capsys, [command, "--config", cfg, "--out", str(dest)])
+    assert code == 2 and out == ""
+    assert err == (
+        "numeric failure: NotPositiveSemidefinite: "
+        "density matrix has negative eigenvalue -5.000e-08\n"
+    )
+    assert not dest.exists()
+
+
+def test_shots_conditions_once(tmp_path, capsys, monkeypatch):
+    counts = {"projected_evolution": 0, "probe_block": 0}
+    for name in counts:
+        original = getattr(engine, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(engine, name, counted)
+    cfg = str(GOLDEN / "readme.json")
+    code, out, _ = run_cli(capsys, ["shots", "--config", cfg, "--seed", "7", "--shots", "2000"])
+    assert code == 0
+    assert counts == {"projected_evolution": 1, "probe_block": 1}
+    assert out == (GOLDEN / "shots_seed7_2000.csv").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("via_config", [False, True])

@@ -9,8 +9,10 @@ from zenopur.engine import (
     SURVIVAL_FLOOR,
     DensityMatrix,
     ProbeSpec,
+    condition,
     condition_on_probe,
     efficiency_check,
+    evolve,
     fidelity,
     projected_evolution,
     run_protocol,
@@ -607,3 +609,20 @@ def test_protocol_matches_full_space_oracle_over_random_inputs(inputs, data):
         np.testing.assert_allclose(step.state.entries, state, rtol=0, atol=1e-10)
         np.testing.assert_allclose(step.success_prob, prob, rtol=1e-10, atol=0)
         assert step.fidelity == fidelity(step.state, target)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(protocol_inputs(), st.data())
+def test_evolve_on_a_conditioned_system_is_run_protocol(inputs, data):
+    rho, h, tau, probe = inputs
+    t = data.draw(complex_arrays((probe.dim_a,)))
+    assume(np.linalg.norm(t) > 0.1)
+    target = t / np.linalg.norm(t)
+    system = condition(rho, h, tau, probe)
+    for arr in (system.weights, system.members):
+        assert not arr.flags.writeable
+    trace = evolve(system, 8, target=target)
+    reference = run_protocol(rho, h, tau, probe, 8, target=target)
+    for col in ("success_prob", "fidelity", "states"):
+        assert np.array_equal(getattr(trace, col), getattr(reference, col))
+    assert trace.factors == reference.factors

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from zenopur.engine import (
     DensityMatrix,
     ProbeSpec,
+    condition,
     fidelity,
     probe_block,
     projected_evolution,
@@ -13,7 +16,7 @@ from zenopur.exceptions import DimensionMismatch
 from zenopur.linalg import Operator
 from zenopur.model3q import ModelParams, bell_basis, build_hamiltonian, probe_spec
 from zenopur import trajectories
-from zenopur.trajectories import ShotConfig, ShotSummary, _shot_uniforms, run_shots
+from zenopur.trajectories import ShotConfig, ShotSummary, _shot_uniforms, run_shots, sample
 
 RIGHT = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 UP_DOWN = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
@@ -339,15 +342,15 @@ def test_annihilated_member_dies_at_step_one():
     np.testing.assert_allclose(estimate, np.diag([0.0, 1.0]), rtol=0.0, atol=1e-12)
 
 
-def test_exactly_annihilated_path_stays_zero(monkeypatch):
+def test_exactly_annihilated_path_stays_zero():
     # V = |1><1| exactly: s = 0 on the |0> path, which must not become 0/0
     h, probe, rho, tau = annihilating_inputs(np.eye(2, dtype=complex) / 2.0)
     exact_v = Operator(np.diag([0.0, 1.0]), (2,))
-    monkeypatch.setattr(trajectories, "projected_evolution", lambda *args: exact_v)
     s, x = trajectories._member_paths(np.eye(2, dtype=complex), exact_v.entries.T, 3)
     assert np.array_equal(s, [[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
     assert np.array_equal(x, np.diag([0.0, 1.0]))
-    summary = run_shots(rho, h, tau, probe, ShotConfig(shots=400, seed=8, n_steps=2))
+    system = replace(condition(rho, h, tau, probe), v=exact_v)
+    summary = sample(system, ShotConfig(shots=400, seed=8, n_steps=2))
     survivors = summary.successes_at_step
     assert survivors[0] == 400 and survivors[1] == survivors[2] > 0
     assert np.array_equal(summary.final_state_estimate.entries, np.diag([0.0, 1.0]))
@@ -359,3 +362,31 @@ def test_no_survivor_gives_no_estimate():
     summary = run_shots(rho, h, tau, probe, ShotConfig(shots=300, seed=6, n_steps=3))
     assert summary.successes_at_step.tolist() == [300, 0, 0, 0]
     assert summary.final_state_estimate is None
+
+
+def test_sample_on_a_conditioned_system_is_run_shots():
+    for h, probe, rho, tau in (
+        random_entangled_inputs() + (0.7,),
+        paper_mixed_inputs(),
+    ):
+        cfg = ShotConfig(shots=700, seed=31, n_steps=5)
+        summary = sample(condition(rho, h, tau, probe), cfg)
+        reference = run_shots(rho, h, tau, probe, cfg)
+        assert np.array_equal(summary.successes_at_step, reference.successes_at_step)
+        assert np.array_equal(summary.frequency, reference.frequency)
+        assert np.array_equal(
+            summary.final_state_estimate.entries, reference.final_state_estimate.entries
+        )
+
+
+def test_non_psd_conditional_start_rejected_before_sampling():
+    # as test_engine's case: rho_tot passes STATE_TOL, rho'_A / p0 does not
+    rho = DensityMatrix(Operator(np.diag([1e-3 + 5e-11, -5e-11, 1.0 - 1e-3, 0.0]), (2, 2)))
+    probe = ProbeSpec(np.array([1.0, 0.0]), 2, 2)
+    h = Operator(np.zeros((4, 4)), (2, 2))
+    with pytest.raises(ValueError) as protocol:
+        run_protocol(rho, h, 1.0, probe, 3)
+    with pytest.raises(ValueError) as shots:
+        run_shots(rho, h, 1.0, probe, ShotConfig(shots=10, seed=0, n_steps=3))
+    assert str(shots.value) == str(protocol.value)
+    assert "negative eigenvalue" in str(shots.value)
