@@ -7,7 +7,12 @@ Four subcommands drive the library from a JSON config file:
     zenopur sweep    --config cfg.json   parameter sweep as CSV
     zenopur shots    --config cfg.json   Monte Carlo vs exact as CSV
 
-The config is validated once, on load.  Every number in it must be
+The config is validated once, on load, and each command reads only the
+fields it uses; every other field is ignored.  All four read ``system``,
+``units`` and ``output.path``.  ``run`` and ``shots`` also read
+``initial_state``, ``n_steps`` and ``target`` (which defaults to the
+singlet for a ``model3q`` system); ``sweep`` reads ``sweep`` and
+``shots`` reads ``shots``.  Every number in the config must be
 finite.  Complex-valued fields (a custom ``hamiltonian``, ``probe``,
 ``initial_state`` and ``target``, and ``alpha``/``beta``) take real
 entries or [re, im] pairs, one form throughout each array.
@@ -40,7 +45,9 @@ from .engine import (
 from .exceptions import ZenopurError
 from .linalg import Operator
 from .model3q import (
+    DOWN,
     INV_SQRT2,
+    UP,
     ModelParams,
     bell_basis,
     build_hamiltonian,
@@ -77,18 +84,22 @@ class SweepSpec:
 
 @dataclass
 class RunConfig:
-    """Fully resolved configuration for one CLI invocation."""
+    """Fully resolved configuration for one CLI invocation.
+
+    The fields after ``probe`` are set only for the commands that read
+    them and keep their defaults otherwise.
+    """
 
     params: ModelParams | None
     h_tot: Operator
     tau: float
     probe: ProbeSpec
-    rho_tot: DensityMatrix | None
-    n_steps: int
-    target: np.ndarray | None
-    out_path: str | None
-    sweep: SweepSpec | None
-    shot_cfg: ShotConfig | None
+    out_path: str | None = None
+    rho_tot: DensityMatrix | None = None
+    n_steps: int = 0
+    target: np.ndarray | None = None
+    sweep: SweepSpec | None = None
+    shot_cfg: ShotConfig | None = None
 
 
 def _fmt(x: float) -> str:
@@ -144,12 +155,9 @@ def _as_array(value, path, shape) -> np.ndarray:
 def _preset_state(name: str, probe: ProbeSpec, path: str) -> DensityMatrix:
     if probe.dim_x != 2 or probe.dim_a != 4:
         raise ConfigError(path, f"preset '{name}' needs a 2 x 4 qubit split")
-    right = np.array([1.0, 1.0], dtype=complex) * INV_SQRT2
-    basis = bell_basis()
-    up_down = np.zeros(4, dtype=complex)
-    up_down[1] = 1.0
-    down_up = np.zeros(4, dtype=complex)
-    down_up[2] = 1.0
+    right = (UP + DOWN) * INV_SQRT2
+    up_down = np.kron(UP, DOWN)
+    down_up = np.kron(DOWN, UP)
     if name == "paper-product":
         return DensityMatrix.pure(np.kron(right, up_down), (2, 2, 2))
     if name == "paper-mixed":
@@ -221,10 +229,8 @@ def _load_system(root):
     return "custom", None, h_tot, tau, probe
 
 
-def _load_initial_state(root, probe, required):
-    value = _get(root, "initial_state", "", required=required)
-    if value is None:
-        return None
+def _load_initial_state(root, probe):
+    value = _get(root, "initial_state", "")
     if isinstance(value, str):
         return _preset_state(value, probe, "initial_state")
     matrix = _as_array(value, "initial_state", (probe.dim_total,) * 2)
@@ -235,12 +241,11 @@ def _load_initial_state(root, probe, required):
         raise ConfigError("initial_state", str(exc)) from None
 
 
-def _load_target(root, probe, command):
+def _load_target(root, kind, probe):
     value = _get(root, "target", "", required=False)
     if value is None:
-        if command == "run" and probe.dim_a == 4:
-            return bell_basis().psi_minus
-        return None
+        # the singlet is the model's target; a custom basis has no default
+        return bell_basis().psi_minus if kind == "model3q" else None
     if isinstance(value, str):
         if value != "psi-minus":
             raise ConfigError("target", f"unknown preset '{value}'")
@@ -308,51 +313,30 @@ def load_config(path: str, command: str, args) -> RunConfig:
         raise ConfigError("config", "top level must be an object")
 
     kind, params, h_tot, tau, probe = _load_system(root)
+    cfg = RunConfig(params=params, h_tot=h_tot, tau=tau, probe=probe)
 
-    needs_state = command in ("run", "shots")
-    rho_tot = _load_initial_state(root, probe, required=needs_state)
-
-    n_steps = _get(root, "n_steps", "", required=needs_state, default=0)
-    n_steps = _as_int(n_steps, "n_steps")
-    if getattr(args, "steps", None) is not None:
-        n_steps = args.steps
-    if n_steps < 0:
-        raise ConfigError("n_steps", "must be nonnegative")
-
-    target = _load_target(root, probe, command)
+    if command in ("run", "shots"):
+        # the commands that evolve the conditioned state
+        cfg.rho_tot = _load_initial_state(root, probe)
+        cfg.n_steps = _as_int(_get(root, "n_steps", ""), "n_steps")
+        if getattr(args, "steps", None) is not None:
+            cfg.n_steps = args.steps
+        if cfg.n_steps < 0:
+            raise ConfigError("n_steps", "must be nonnegative")
+        cfg.target = _load_target(root, kind, probe)
 
     out_section = _get(root, "output", "", required=False, default={})
-    out_path = _get(out_section, "path", "output", required=False)
-    if out_path is not None and not isinstance(out_path, str):
+    cfg.out_path = _get(out_section, "path", "output", required=False)
+    if cfg.out_path is not None and not isinstance(cfg.out_path, str):
         raise ConfigError("output.path", "expected a string")
-    expected_format = "json" if command == "spectrum" else "csv"
-    out_format = _get(
-        out_section, "format", "output", required=False, default=expected_format
-    )
-    if out_format not in ("csv", "json"):
-        raise ConfigError("output.format", "expected 'csv' or 'json'")
-    if out_format != expected_format:
-        raise ConfigError(
-            "output.format", f"'{command}' emits {expected_format} output"
-        )
     if args.out is not None:
-        out_path = args.out
+        cfg.out_path = args.out
 
-    sweep = _load_sweep(root, kind) if command == "sweep" else None
-    shot_cfg = _load_shot_config(root, n_steps, args) if command == "shots" else None
-
-    return RunConfig(
-        params=params,
-        h_tot=h_tot,
-        tau=tau,
-        probe=probe,
-        rho_tot=rho_tot,
-        n_steps=n_steps,
-        target=target,
-        out_path=out_path,
-        sweep=sweep,
-        shot_cfg=shot_cfg,
-    )
+    if command == "sweep":
+        cfg.sweep = _load_sweep(root, kind)
+    if command == "shots":
+        cfg.shot_cfg = _load_shot_config(root, cfg.n_steps, args)
+    return cfg
 
 
 def cmd_run(cfg: RunConfig) -> str:

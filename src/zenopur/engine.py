@@ -213,13 +213,6 @@ def _target_factors(factors: tuple[int, ...], dim_x: int, dim_a: int) -> tuple[i
     return (dim_a,)
 
 
-def _probe_sandwich(m: np.ndarray, probe: ProbeSpec) -> np.ndarray:
-    """Block <phi|_X m |phi>_X of a total-space matrix, as a matrix on A."""
-    blocks = m.reshape(probe.dim_x, probe.dim_a, probe.dim_x, probe.dim_a)
-    phi = probe.phi_x
-    return np.einsum("i,iajb,j->ab", phi.conj(), blocks, phi)
-
-
 def projected_evolution(h_tot: Operator, tau: float, probe: ProbeSpec) -> Operator:
     """Projected evolution operator V = <phi|_X exp(-i H tau) |phi>_X.
 
@@ -266,7 +259,9 @@ def probe_block(rho_tot: DensityMatrix, probe: ProbeSpec) -> np.ndarray:
             f"state dimension {rho_tot.dim} does not match probe split "
             f"{probe.dim_x} x {probe.dim_a}"
         )
-    raw = _probe_sandwich(rho_tot.entries, probe)
+    blocks = rho_tot.entries.reshape(probe.dim_x, probe.dim_a, probe.dim_x, probe.dim_a)
+    phi = probe.phi_x
+    raw = np.einsum("i,iajb,j->ab", phi.conj(), blocks, phi)
     return (raw + raw.conj().T) / 2.0
 
 

@@ -35,7 +35,6 @@ SIGMA_MINUS = SIGMA_PLUS.conj().T
 NUMBER = (np.eye(2, dtype=complex) + SIGMA_3) / 2.0
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-BRANCH_TOL = 1e-9
 CONDITION_TOL = 1e-9
 
 
@@ -163,12 +162,11 @@ def singlet_eigenvalue(p: ModelParams) -> complex:
     return e1 * (abs(p.beta) ** 2 + abs(p.alpha) ** 2 * e1)
 
 
-def _efficient_branch(p: ModelParams) -> bool:
-    if abs(p.alpha - INV_SQRT2) > BRANCH_TOL or abs(p.beta - INV_SQRT2) > BRANCH_TOL:
-        return False
-    x = abs(p.omega) * p.tau
-    n = round(x / (2.0 * math.pi))
-    return abs(x - 2.0 * math.pi * n) <= BRANCH_TOL
+def _near_multiple(x: float, unit: float) -> tuple[int, bool]:
+    """Nearest multiple n of ``unit`` to x, and whether x lies within
+    ``CONDITION_TOL`` of n * unit."""
+    n = round(x / unit)
+    return n, abs(x - n * unit) <= CONDITION_TOL
 
 
 def analytic_eigenvalues(p: ModelParams) -> ModelEigenvalues:
@@ -191,7 +189,9 @@ def analytic_eigenvalues(p: ModelParams) -> ModelEigenvalues:
     BranchUnavailable
         If the tuning or probe preconditions fail.
     """
-    if not _efficient_branch(p):
+    off = abs(p.alpha - INV_SQRT2) > CONDITION_TOL or abs(p.beta - INV_SQRT2) > CONDITION_TOL
+    # n = 0 is accepted: tau = 0 gives V = 1, which the closed form also covers
+    if off or not _near_multiple(abs(p.omega) * p.tau, 2.0 * math.pi)[1]:
         raise BranchUnavailable(
             "closed-form spectrum needs alpha = beta = 1/sqrt(2) and "
             "|Omega|*tau = 2*pi*n"
@@ -222,11 +222,9 @@ def check_conditions(p: ModelParams) -> ConditionFlags:
     otherwise a second eigenvalue reaches magnitude 1 and dominance is
     degenerate.
     """
-    x = abs(p.omega) * p.tau
-    n = round(x / (2.0 * math.pi))
-    tuning_ok = n >= 1 and abs(x - 2.0 * math.pi * n) <= CONDITION_TOL
+    n, tuned = _near_multiple(abs(p.omega) * p.tau, 2.0 * math.pi)
+    tuning_ok = n >= 1 and tuned
     probe_ok = p.alpha != 0 and p.beta != 0
-    y = abs(p.g) * p.tau / math.sqrt(2.0)
-    m = round(y / (math.pi / 2.0))
-    coupling_ok = abs(y - m * math.pi / 2.0) > CONDITION_TOL
+    _, degenerate = _near_multiple(abs(p.g) * p.tau / math.sqrt(2.0), math.pi / 2.0)
+    coupling_ok = not degenerate
     return ConditionFlags(tuning_ok, probe_ok, coupling_ok)

@@ -159,6 +159,40 @@ def test_run_custom_system(tmp_path, capsys):
         assert float(row[2]) == pytest.approx(math.cos(g) ** (2 * n), abs=1e-10)
 
 
+def test_run_custom_system_has_no_default_target(tmp_path, capsys):
+    # a 4-dim target space of a custom system is not the model's A (x) B,
+    # so no singlet is assumed and the fidelity column stays blank
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((4, 4))
+    payload = {
+        "system": {
+            "kind": "custom",
+            "dim_x": 1,
+            "dim_a": 4,
+            "tau": 0.7,
+            "hamiltonian": ((a + a.T) / 2.0).tolist(),
+            "probe": [1],
+        },
+        "initial_state": np.diag([0.4, 0.3, 0.2, 0.1]).tolist(),
+        "n_steps": 2,
+    }
+    cfg = write_config(tmp_path, "custom4.json", payload)
+    code, out, err = run_cli(capsys, ["run", "--config", cfg])
+    assert code == 0, err
+    rows = [r.split(",") for r in out.strip().split("\n")[1:]]
+    assert len(rows) == 3
+    assert [row[1] for row in rows] == ["", "", ""]
+
+
+def test_run_model_target_defaults_to_singlet(tmp_path, capsys):
+    payload = json.loads((GOLDEN / "readme.json").read_text(encoding="utf-8"))
+    del payload["target"]
+    cfg = write_config(tmp_path, "no_target.json", payload)
+    code, out, _ = run_cli(capsys, ["run", "--config", cfg])
+    assert code == 0
+    assert out == (GOLDEN / "run.csv").read_text(encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -690,12 +724,78 @@ def test_unwritable_output_path_reported(tmp_path, capsys, monkeypatch, via_conf
     assert not dest.parent.exists()
 
 
-def test_wrong_output_format_rejected(tmp_path, capsys):
-    payload = model_config(output={"path": "x.json", "format": "json"})
+@pytest.mark.parametrize("value", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, golden",
+    [(["run"], "run.csv"), (["spectrum"], "spectrum.json")],
+    ids=["run", "spectrum"],
+)
+def test_output_format_key_ignored(tmp_path, capsys, argv, golden, value):
+    # each command prints its one format; an output.format key changes nothing
+    payload = json.loads((GOLDEN / "readme.json").read_text(encoding="utf-8"))
+    payload["output"] = {"format": value}
+    cfg = write_config(tmp_path, "format.json", payload)
+    code, out, err = run_cli(capsys, argv + ["--config", cfg])
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# fields each command reads
+
+
+@pytest.mark.parametrize(
+    "command, golden", [("spectrum", "spectrum.json"), ("sweep", "sweep.csv")]
+)
+def test_analysis_commands_ignore_state_fields(tmp_path, capsys, command, golden):
+    # V alone fixes the spectrum and the sweep; an invalid start, step count
+    # and target are never read
+    payload = json.loads((GOLDEN / "readme.json").read_text(encoding="utf-8"))
+    payload["initial_state"] = [[0.0] * 8 for _ in range(8)]
+    payload["n_steps"] = -1
+    payload["target"] = "phi-plus"
+    cfg = write_config(tmp_path, "bad_state.json", payload)
+    code, out, err = run_cli(capsys, [command, "--config", cfg])
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["run", "spectrum", "sweep", "shots"])
+def test_only_state_commands_build_the_start(monkeypatch, command):
+    built = []
+
+    class Counted(cli.DensityMatrix):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(cli, "DensityMatrix", Counted)
+    args = Namespace(out=None, steps=None, seed=None, shots=None)
+    cfg = load_config(str(GOLDEN / "readme.json"), command, args)
+    evolves = command in ("run", "shots")
+    assert len(built) == (1 if evolves else 0)
+    assert (cfg.rho_tot is not None) == evolves
+    if evolves:
+        assert cfg.n_steps == 10
+        assert cfg.target.tobytes() == bell_basis().psi_minus.tobytes()
+    else:
+        assert cfg.target is None
+
+
+def test_shots_reads_target(tmp_path, capsys):
+    # shots prints no fidelity but loads the target, as run does, so one
+    # loaded config serves both commands
+    payload = custom_config()
+    payload["target"] = [[0.6, 0.0], [0.0, 0.8]]
+    cfg = write_config(tmp_path, "target.json", payload)
+    args = Namespace(out=None, steps=None, seed=None, shots=None)
+    assert load_config(cfg, "shots", args).target.tolist() == [0.6, 0.8j]
+    payload = json.loads((GOLDEN / "readme.json").read_text(encoding="utf-8"))
+    payload["target"] = "phi-plus"
     cfg = write_config(tmp_path, "bad.json", payload)
-    code, _, err = run_cli(capsys, ["run", "--config", cfg])
-    assert code == 1
-    assert "output.format" in err
+    code, out, err = run_cli(capsys, ["shots", "--config", cfg])
+    assert code == 1 and out == ""
+    assert err == "config error: target: unknown preset 'phi-plus'\n"
 
 
 # ---------------------------------------------------------------------------
