@@ -112,12 +112,16 @@ def _round12(x: float) -> float:
 
 
 def _get(mapping, key, path, required=True, default=None):
+    """``mapping[key]``; an absent key gives ``default`` unless required, a null never does."""
     if not isinstance(mapping, dict):
         raise ConfigError(path or "config", "expected an object")
+    field = f"{path}.{key}" if path else key
     if key not in mapping:
         if required:
-            raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
+            raise ConfigError(field, "missing required field")
         return default
+    if mapping[key] is None:
+        raise ConfigError(field, "expected a value, got null")
     return mapping[key]
 
 

@@ -17,9 +17,11 @@ rho'_A = <phi|rho_tot|phi> once, as one ``Conditioned`` system: ``evolve``
 iterates the exact conditional state on it, and ``trajectories.sample``
 draws its shots from it.  rho_A = W S W^dag for W = [u_k sqrt(|lambda_k| / p0)]
 over the nonzero lambda_k and S = diag(sign lambda_k), so n confirmations
-map it to V^n W S (V^n W)^dag: one product W <- V W per step, on d x r
-instead of d x d for a start of rank r.  The trace is columnar: arrays of
-P(n), the fidelity and the states, with per-step objects built only when read.
+map it to V^n W S (V^n W)^dag.  ``evolve`` fills blocks of B steps by
+doubling, W_(n + 2^k) = V^(2^k) W_n: d^2 r per step for a start of rank r,
+plus ceil(log2 B) squarings of V (d^3 each) per call; at d^2 > 2^15 it is
+the plain loop W <- V W.  The trace is columnar: arrays of P(n), the
+fidelity and the states, with per-step objects built only when read.
 
 V is built from the probe rows of the Hamiltonian's cached Hermitian
 spectrum (``Operator.hermitian_spectrum``), never from the full
@@ -370,11 +372,17 @@ def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) 
     with the step-zero convention P(0) = p0.  The success probability is
     non-increasing in n.
 
-    The recursion runs on the factor W (module docstring): W <- V W per
-    step.  The states W S W^dag / Tr[W S W^dag] are built in blocks of
-    steps bounded by ``_STATE_BLOCK_ELEMENTS``, the fidelity column with
-    them.  ``target`` gets the length and unit-norm check of ``fidelity``
-    (and its DimensionMismatch or ValueError) once, before the loop.
+    The recursion runs on the factor W (module docstring), in blocks of
+    B = max(1, _STATE_BLOCK_ELEMENTS // d^2) steps.  A block starts from
+    W_0, or from V times the last W of the previous block, and is filled
+    by doubling: W_(n + 2^k) = V^(2^k) W_n for the next min(2^k, rest)
+    steps, one batched product each.  Each V^(2^k) is squared once, when
+    the first block that needs it is reached, so a call makes at most
+    ceil(log2 B) squarings; with B = 1 (d^2 > 2^15) none, and the fill is
+    the plain loop W <- V W.  The states W S W^dag / Tr[W S W^dag] and the
+    fidelity column are then built per block.  ``target`` gets the length
+    and unit-norm check of ``fidelity`` (and its DimensionMismatch or
+    ValueError) once, before the loop.
 
     Raises
     ------
@@ -398,13 +406,19 @@ def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) 
     fids = None if t is None else np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, d, d), dtype=complex)
     w_block = np.empty((min(block, n_steps + 1),) + w.shape, dtype=complex)
+    powers = [vm]  # V^(2^k), squared on first need and kept for later blocks
     for start in range(0, n_steps + 1, block):
         stop = min(start + block, n_steps + 1)
-        for n in range(start, stop):
-            if n > 0:
-                w = vm @ w
-            w_block[n - start] = w
         wb = w_block[: stop - start]
+        # the previous block, whose last W this reads, was a full one
+        wb[0] = w if start == 0 else vm @ w_block[-1]
+        have, k = 1, 0
+        while have < len(wb):
+            if k == len(powers):
+                powers.append(powers[-1] @ powers[-1])
+            take = min(have, len(wb) - have)
+            np.matmul(powers[k], wb[:take], out=wb[have : have + take])
+            have, k = have + take, k + 1
         out = states[start:stop]
         np.matmul(wb * signs, wb.conj().transpose(0, 2, 1), out=out)
         q = np.einsum("nii->n", out).real

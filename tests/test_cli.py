@@ -193,6 +193,22 @@ def test_run_model_target_defaults_to_singlet(tmp_path, capsys):
     assert out == (GOLDEN / "run.csv").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "field, nulled",
+    [("target", {"target": None}), ("output.path", {"output": {"path": None}})],
+    ids=["target", "output.path"],
+)
+def test_null_field_is_config_error(tmp_path, capsys, field, nulled):
+    # a JSON null is neither the field's default nor "absent"
+    payload = json.loads((GOLDEN / "readme.json").read_text(encoding="utf-8"))
+    payload.update(nulled)
+    cfg = write_config(tmp_path, "null.json", payload)
+    code, out, err = run_cli(capsys, ["run", "--config", cfg])
+    assert code == 1 and out == ""
+    assert f"config error: {field}: " in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 

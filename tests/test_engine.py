@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from zenopur import engine
 from zenopur.engine import (
     SURVIVAL_FLOOR,
     DensityMatrix,
@@ -396,6 +397,60 @@ def test_detuned_run_underflows_at_the_reference_step():
     assert str(factor.value).endswith("step 6876")
 
 
+def set_block_steps(monkeypatch, steps, dim_a):
+    """Make ``evolve`` fill and build its states in blocks of ``steps`` steps."""
+    monkeypatch.setattr(engine, "_STATE_BLOCK_ELEMENTS", steps * dim_a * dim_a)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 16, 2048])
+@pytest.mark.parametrize("kind", ["paper-product", "paper-mixed"])
+def test_doubled_fill_matches_dense_reference_across_blocks(monkeypatch, kind, steps):
+    # 3000 steps cross the block boundaries and every V^(2^k) up to 2^10
+    rho, h, _, probe, target = factor_starts(kind)
+    set_block_steps(monkeypatch, steps, probe.dim_a)
+    trace = run_protocol(rho, h, 2 * np.pi, probe, 3000, target=target)
+    probs, states, fids = dense_reference(rho, h, 2 * np.pi, probe, 3000, target)
+    np.testing.assert_allclose(trace.success_prob, probs, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(trace.states, states, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trace.fidelity, fids, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 16, 2048])
+def test_doubled_fill_underflows_at_the_reference_step(monkeypatch, steps):
+    p, h, probe = reference_setup()
+    set_block_steps(monkeypatch, steps, probe.dim_a)
+    with pytest.raises(ZeroProbability) as factor:
+        run_protocol(paper_start("product"), h, 1.3, probe, 1600)
+    assert str(factor.value).endswith("step 1514")
+
+
+@pytest.mark.parametrize(
+    "kind", ["paper-product", "paper-mixed", "random-full-rank", "indefinite"]
+)
+def test_one_step_blocks_are_the_plain_loop(monkeypatch, kind):
+    # at one step a block (d^2 > _STATE_BLOCK_ELEMENTS) no power of V is formed
+    monkeypatch.setattr(engine, "_STATE_BLOCK_ELEMENTS", 1)
+    rho, h, tau, probe, target = factor_starts(kind)
+    system = condition(rho, h, tau, probe)
+    trace = evolve(system, 40, target=target)
+    kept = system.weights != 0.0
+    signs = np.sign(system.weights[kept])
+    w = system.members[:, kept] * np.sqrt(np.abs(system.weights[kept]) / system.p0)
+    probs, states, fids = [], [], []
+    for n in range(41):
+        if n > 0:
+            w = system.v.entries @ w
+        m = (w * signs) @ w.conj().T
+        q = np.einsum("nii->n", m[None]).real[0]
+        m.view(float)[...] /= q
+        probs.append(system.p0 * q)
+        states.append(m)
+        fids.append(fidelity(Operator(m), target))
+    assert np.array_equal(trace.success_prob, probs)
+    assert np.array_equal(trace.states, states)
+    assert np.array_equal(trace.fidelity, fids)
+
+
 @pytest.mark.parametrize("length", [1, 2, 7, 501])
 def test_fidelity_column_is_fidelity_bit_for_bit(length):
     p, h, probe = reference_setup()
@@ -592,6 +647,22 @@ def test_protocol_invariants_over_random_inputs(inputs):
         assert np.max(np.abs(m - m.conj().T)) <= 1e-10
         assert np.linalg.eigvalsh(m).min() >= -1e-10
         assert abs(np.trace(m).real - 1.0) <= 1e-10
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(protocol_inputs())
+def test_long_protocol_invariants_over_random_inputs(inputs):
+    # 200 steps in 5-step blocks: each block is filled through V, V^2 and V^4
+    rho, h, tau, probe = inputs
+    with pytest.MonkeyPatch.context() as mp:
+        set_block_steps(mp, 5, probe.dim_a)
+        trace = run_protocol(rho, h, tau, probe, 200)
+    p = trace.success_prob
+    assert np.all(p[1:] <= p[:-1] * (1.0 + 1e-12))
+    states = trace.states
+    assert np.max(np.abs(states - states.conj().transpose(0, 2, 1))) <= 1e-10
+    assert np.linalg.eigvalsh(states).min() >= -1e-10
+    assert np.max(np.abs(np.einsum("nii->n", states).real - 1.0)) <= 1e-10
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
