@@ -418,7 +418,8 @@ def cmd_shots(cfg: RunConfig) -> str:
     summary = sample(system, cfg.shot_cfg)
     lines = [SHOTS_HEADER]
     for n, (freq, p) in enumerate(zip(summary.frequency.tolist(), trace.success_prob.tolist())):
-        lines.append(f"{n},{_fmt(freq)},{_fmt(p)},{_fmt(abs(freq - p))}")
+        # abs_error is the difference of the printed values, not of their noise digits
+        lines.append(f"{n},{_fmt(freq)},{_fmt(p)},{_fmt(abs(_round12(freq) - _round12(p)))}")
     return "\n".join(lines) + "\n"
 
 

@@ -21,18 +21,30 @@ the zero vector, and all of its shots die at step n.  As
 P(n) = sum_k lambda_k |V^n u_k|^2, surviving counts per step estimate the
 exact P(n), and the survivors' final states, sum_k c_k x_k x_k^dag over
 the c_k survivors of each member, average into an estimate of the exact
-conditional state.  The path of a member is computed once, the first
-time it is drawn, so the cost is one product with V per drawn member and
-step, plus one table lookup per shot and step.
+conditional state.
+
+Death times are drawn in the waiting-time form of the quantum-jump
+method (Dalibard, Castin and Molmer, PRL 68, 580 (1992); Plenio and
+Knight, RMP 70, 101 (1998)): instead of one uniform per step, a shot
+draws one uniform v and compares it with the decaying norm of its
+no-jump path, S_k(0) = 1 and S_k(n) the running minimum of
+prod_{m <= n} s_k(m).  The shot is alive at step n exactly when
+v < S_k(n), which has the per-step law above; the running minimum only
+keeps S_k non-increasing under rounding.  The survivors of member k at
+every step are then one ``searchsorted`` of S_k into the sorted death
+uniforms of its shots.  The path of a member is computed once, the
+first time it is drawn, so the cost is one product with V per drawn
+member and step, one sort of the shots' death uniforms, and one binary
+search per drawn member and step; no (shots x steps) array is formed.
 
 All draws come from one Philox stream keyed by the seed.  Row i of a
-(shots, per_shot) array of uniforms belongs to shot i: column 0 decides
-n = 0, column n the measurement at step n.  per_shot is n_steps + 1
-rounded up to a multiple of 4, the Philox block, so any range of rows
-starts at a known counter.  Shots run in row blocks of at most
-``_BLOCK_UNIFORMS`` uniforms (at least one row), so the draws and the
-survival lookups of a block stay bounded however long the run; results
-are reproducible bit for bit and independent of the block size.
+(shots, 2) array of uniforms belongs to shot i: column 0 picks the
+member u_k or the failed n = 0 measurement, column 1 is the death
+uniform v.  A Philox counter step yields 4 uniforms, two rows, so any
+range of rows starts at a known counter.  Shots run in row blocks of at
+most ``_BLOCK_UNIFORMS`` uniforms (at least one row), so the draws of a
+block stay bounded however many shots; results are reproducible bit for
+bit and independent of the block size.
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ from .engine import Conditioned, DensityMatrix, ProbeSpec, condition
 from .linalg import Operator
 from .linalg import matrix_exponential  # noqa: F401  traced by name in bench/worker.py
 
-_BLOCK_UNIFORMS = 1 << 16  # uniforms per row block; bounds the draws and survival lookups
+_BLOCK_UNIFORMS = 1 << 16  # uniforms per row block of two-uniform shots; bounds the draws
 
 
 @dataclass(frozen=True)
@@ -53,7 +65,8 @@ class ShotConfig:
     """Shot count, RNG seed and number of protocol steps.
 
     The seed (64-bit unsigned) is the key of the one Philox stream all
-    shots draw from; shot i reads row i of it, so the same config gives
+    shots draw from; shot i reads row i of it, two uniforms (its member
+    and its death uniform) whatever ``n_steps``, so the same config gives
     the same records bit for bit.
     """
 
@@ -86,21 +99,16 @@ class ShotSummary:
     final_state_estimate: Operator | None
 
 
-def _per_shot(n_steps: int) -> int:
-    """Uniforms per shot row: n_steps + 1 rounded up to a multiple of 4."""
-    return (n_steps + 4) // 4 * 4
-
-
-def _shot_uniforms(seed: int, n_steps: int, start: int, stop: int) -> np.ndarray:
-    """Rows ``start:stop`` of the (shots, per_shot) uniforms of shot records.
+def _shot_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` of the (shots, 2) uniforms of shot records.
 
     The whole array is one Philox(key=seed) stream read row by row.  A
-    Philox counter step yields 4 draws and per_shot is a multiple of 4,
-    so row ``start`` begins exactly ``start * per_shot // 4`` steps in.
+    Philox counter step yields 4 draws, two rows, so row ``start`` begins
+    ``start // 2`` steps in, after one dropped row when ``start`` is odd.
     """
-    per_shot = _per_shot(n_steps)
-    bitgen = np.random.Philox(key=seed).advance(start * per_shot // 4)
-    return np.random.Generator(bitgen).random((stop - start, per_shot))
+    odd = start % 2
+    bitgen = np.random.Philox(key=seed).advance(start // 2)
+    return np.random.Generator(bitgen).random((stop - start + odd, 2))[odd:]
 
 
 def _member_paths(u: np.ndarray, vt: np.ndarray, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,43 +137,50 @@ def sample(system: Conditioned, cfg: ShotConfig) -> ShotSummary:
     probe in |phi>_X, so ``frequency[n]`` estimates the exact P(n).
 
     Shots are not evolved one by one: each ensemble member drawn gets one
-    path (``_member_paths``) the first time a block draws it, and a shot
-    survives step n when its uniform lies below the path's s_k(n) and it
-    survived every earlier step.  The survivor estimate is
-    sum_k c_k x_k x_k^dag / sum_k c_k over the c_k survivors of member k.
-    The counts and the estimate are those of evolving every survivor.
+    path (``_member_paths``) the first time a block draws it, and with it
+    the non-increasing survival S_k(n), the running minimum of
+    prod_{m <= n} s_k(m).  A shot with death uniform v is alive at step n
+    exactly when v < S_k(n), so one ``searchsorted`` of S_k into the
+    sorted death uniforms of the member's shots counts its survivors at
+    every step.  The survivor estimate is sum_k c_k x_k x_k^dag / sum_k c_k
+    over the c_k survivors of member k.  The counts and the estimate are
+    those of evolving every survivor on the same draws.
     """
     cum = np.cumsum(np.clip(system.weights, 0.0, None))
     members = system.members.T  # row k is the unit eigenvector of lambda_k
     vt = system.v.entries.T
     dim_a, n_steps = system.v.dim, cfg.n_steps
 
-    # Path rows of the survival table and final states.  Member index
+    # Path rows of the survival table S and final states.  Member index
     # dim_a, which a uniform at or above sum_k lambda_k = p0 picks, is the
-    # failed n = 0 measurement: row 0, a path with s = 0 at every step.
+    # failed n = 0 measurement: row 0, a path with S = 0 at every step.
     row_of = np.full(dim_a + 1, -1)
     row_of[dim_a] = 0
     table = np.zeros((1, n_steps + 1))
     final = np.zeros((1, dim_a), dtype=complex)
     counts = np.zeros(1, dtype=np.int64)  # shots alive at n_steps, per path
     successes = np.zeros(n_steps + 1, dtype=np.int64)
-    rows_per_block = max(1, _BLOCK_UNIFORMS // _per_shot(n_steps))
+    rows_per_block = max(1, _BLOCK_UNIFORMS // 2)
     for start in range(0, cfg.shots, rows_per_block):
         stop = min(start + rows_per_block, cfg.shots)
-        draws = _shot_uniforms(cfg.seed, n_steps, start, stop)
-        # one uniform picks member k with probability lambda_k
+        draws = _shot_uniforms(cfg.seed, start, stop)
+        # column 0 picks member k with probability lambda_k
         k = np.searchsorted(cum, draws[:, 0], side="right")
         new = np.flatnonzero((np.bincount(k, minlength=dim_a + 1) > 0) & (row_of < 0))
         if new.size:
             row_of[new] = np.arange(len(table), len(table) + new.size)
             s, x = _member_paths(members[new], vt, n_steps)
-            table = np.vstack([table, s])
+            table = np.vstack([table, np.minimum.accumulate(np.cumprod(s, axis=1), axis=1)])
             final = np.vstack([final, x])
             counts = np.concatenate([counts, np.zeros(new.size, dtype=np.int64)])
         rows = row_of[k]
-        ok = np.logical_and.accumulate(draws[:, : n_steps + 1] < table[rows], axis=1)
-        successes += ok.sum(axis=0)
-        counts += np.bincount(rows[ok[:, -1]], minlength=len(table))
+        # column 1 is the death uniform v: a shot on path r is alive at
+        # step n when v < S_r(n), so the sorted v of the path give every
+        # step's survivors with one search
+        for r in np.flatnonzero(np.bincount(rows)):
+            alive = np.searchsorted(np.sort(draws[rows == r, 1]), table[r])
+            successes += alive
+            counts[r] += alive[-1]
 
     frequency = successes / float(cfg.shots)
     estimate = None

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from zenopur.engine import (
     DensityMatrix,
     ProbeSpec,
     condition,
+    evolve,
     fidelity,
     probe_block,
     projected_evolution,
@@ -57,30 +59,37 @@ def paper_mixed_inputs():
 def per_shot_reference(rho, h, tau, probe, cfg):
     """The sampler that evolves every survivor by V at every step.
 
-    Same draws as ``run_shots``; returns the survivor counts and the
-    unsymmetrized survivor mean (None when no shot survives).
+    Same two-column draws as ``run_shots``: column 0 picks the member,
+    column 1 is the death uniform v, and a shot stays alive while v lies
+    below the running minimum of the product of its own survival
+    probabilities.  Returns the survivor counts and the unsymmetrized
+    survivor mean (None when no shot survives).
     """
     weights, members = np.linalg.eigh(probe_block(rho, probe))
     vt = projected_evolution(h, tau, probe).entries.T
     cum = np.cumsum(np.clip(weights, 0.0, None))
-    draws = _shot_uniforms(cfg.seed, cfg.n_steps, 0, cfg.shots)
+    draws = _shot_uniforms(cfg.seed, 0, cfg.shots)
     alive = np.flatnonzero(draws[:, 0] < cum[-1])
     chi = members.T[np.searchsorted(cum, draws[alive, 0], side="right")]
+    product = np.ones(alive.size)
+    survival = np.ones(alive.size)
     successes = [alive.size]
     for n in range(1, cfg.n_steps + 1):
         amp = chi @ vt
         prob = np.einsum("sa,sa->s", amp, amp.conj()).real
-        ok = draws[alive, n] < prob
-        alive = alive[ok]
+        product = product * prob
+        survival = np.minimum(survival, product)
+        ok = draws[alive, 1] < survival
+        alive, product, survival = alive[ok], product[ok], survival[ok]
         successes.append(alive.size)
         chi = amp[ok] / np.sqrt(prob[ok])[:, None]
     mean = chi.T @ chi.conj() / alive.size if alive.size else None
     return np.array(successes), mean
 
 
-def set_block_rows(monkeypatch, rows, n_steps):
-    """Make ``run_shots`` draw ``rows`` shots per row block."""
-    monkeypatch.setattr(trajectories, "_BLOCK_UNIFORMS", rows * trajectories._per_shot(n_steps))
+def set_block_rows(monkeypatch, rows):
+    """Make ``run_shots`` draw ``rows`` shots of two uniforms per row block."""
+    monkeypatch.setattr(trajectories, "_BLOCK_UNIFORMS", 2 * rows)
 
 
 def annihilating_inputs(rho_a):
@@ -224,14 +233,16 @@ def test_summary_arrays_read_only():
 
 
 def test_shot_uniform_shards_match_bulk_draw():
-    # n_steps + 1 = 6 draws per shot, padded to a row of 8
-    seed, n_steps, shots = 2**63 + 5, 5, 300
-    bulk = _shot_uniforms(seed, n_steps, 0, shots)
+    # two uniforms per shot, two shots per Philox counter step: odd and
+    # even shard starts both land on the bulk draw
+    seed, shots = 2**63 + 5, 300
+    bulk = _shot_uniforms(seed, 0, shots)
     philox = np.random.Generator(np.random.Philox(key=seed))
-    assert np.array_equal(bulk, philox.random((shots, 8)))
+    assert np.array_equal(bulk, philox.random((shots, 2)))
     for a in (1, 3, 150, 299):
-        head = _shot_uniforms(seed, n_steps, 0, a)
-        tail = _shot_uniforms(seed, n_steps, a, shots)
+        head = _shot_uniforms(seed, 0, a)
+        tail = _shot_uniforms(seed, a, shots)
+        assert head.shape == (a, 2) and tail.shape == (shots - a, 2)
         assert np.array_equal(np.vstack([head, tail]), bulk)
 
 
@@ -240,7 +251,7 @@ def test_results_independent_of_block_size(monkeypatch):
     cfg = ShotConfig(shots=600, seed=4711, n_steps=5)
     results = []
     for rows in (1, 7, cfg.shots):
-        set_block_rows(monkeypatch, rows, cfg.n_steps)
+        set_block_rows(monkeypatch, rows)
         results.append(run_shots(rho, h, 0.3, probe, cfg))
     first = results[0]
     for other in results[1:]:
@@ -265,14 +276,36 @@ def test_long_runs_draw_blocks_within_the_uniform_budget(monkeypatch):
 
     monkeypatch.setattr(trajectories, "_shot_uniforms", recorded)
     summary = run_shots(rho, h, p.tau, probe, cfg)
-    assert len(shapes) > 1
-    assert all(rows * per_shot <= trajectories._BLOCK_UNIFORMS for rows, per_shot in shapes)
+    # two uniforms per shot however many steps: one block holds every shot
+    assert shapes == [(cfg.shots, 2)]
+    assert 2 * cfg.shots <= trajectories._BLOCK_UNIFORMS
+    shapes.clear()
+    set_block_rows(monkeypatch, 7)
+    seven = run_shots(rho, h, p.tau, probe, cfg)
+    assert len(shapes) == -(-cfg.shots // 7)
+    assert all(width == 2 and rows * width <= trajectories._BLOCK_UNIFORMS for rows, width in shapes)
     assert sum(rows for rows, _ in shapes) == cfg.shots
-    set_block_rows(monkeypatch, 1, cfg.n_steps)
+    set_block_rows(monkeypatch, 1)
     one_row = run_shots(rho, h, p.tau, probe, cfg)
-    assert len(shapes) > cfg.shots
     assert 0 < summary.successes_at_step[-1] < cfg.shots
+    assert np.array_equal(summary.successes_at_step, seven.successes_at_step)
     assert np.array_equal(summary.successes_at_step, one_row.successes_at_step)
+
+
+def test_long_run_allocates_no_shot_by_step_array():
+    # 4096 shots x 2001 steps of float64 would be 66 MB; the sampler keeps
+    # two uniforms per shot and one survival row per drawn member
+    h, probe, rho, tau = paper_mixed_inputs()
+    system = condition(rho, h, tau, probe)
+    cfg = ShotConfig(shots=4096, seed=7, n_steps=2000)
+    tracemalloc.start()
+    try:
+        summary = sample(system, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 19
+    assert 0 < summary.successes_at_step[-1] < cfg.shots
 
 
 def test_entangled_start_sampled_on_target_space():
@@ -296,6 +329,28 @@ def test_entangled_start_sampled_on_target_space():
     assert np.linalg.norm(error) <= 5.0 / np.sqrt(survivors)
 
 
+@pytest.mark.parametrize("inputs", ["paper-mixed", "random-entangled"])
+def test_death_times_follow_the_exact_law_over_many_seeds(inputs):
+    # 200 seeds x 2000 shots: at every n >= 1 the binomial z-scores of the
+    # frequencies against evolve's P(n) have mean ~ 0 and spread ~ 1
+    if inputs == "random-entangled":
+        h, probe, rho = random_entangled_inputs()
+        tau = 0.3
+    else:
+        h, probe, rho, tau = paper_mixed_inputs()
+    shots, n_steps = 2000, 8
+    system = condition(rho, h, tau, probe)
+    p = evolve(system, n_steps).success_prob[1:]
+    assert np.all((p > 0.0) & (p < 1.0))
+    freq = np.array(
+        [sample(system, ShotConfig(shots, seed, n_steps)).frequency[1:] for seed in range(1, 201)]
+    )
+    z = (freq - p) / np.sqrt(p * (1.0 - p) / shots)
+    assert np.all(np.abs(z.mean(axis=0)) <= 0.2)
+    spread = z.std(axis=0)
+    assert np.all((spread >= 0.8) & (spread <= 1.2))
+
+
 @pytest.mark.parametrize("rows", [1, 7, None])
 @pytest.mark.parametrize("inputs", ["random-entangled", "paper-mixed"])
 def test_member_paths_follow_per_shot_law(monkeypatch, inputs, rows):
@@ -305,7 +360,7 @@ def test_member_paths_follow_per_shot_law(monkeypatch, inputs, rows):
     else:
         h, probe, rho, tau = paper_mixed_inputs()
     cfg = ShotConfig(shots=600, seed=90210, n_steps=6)
-    set_block_rows(monkeypatch, rows or cfg.shots, cfg.n_steps)
+    set_block_rows(monkeypatch, rows or cfg.shots)
     summary = run_shots(rho, h, tau, probe, cfg)
     successes, mean = per_shot_reference(rho, h, tau, probe, cfg)
     assert 0 < successes[-1] < successes[0]
@@ -333,7 +388,7 @@ def test_annihilated_member_dies_at_step_one():
     cfg = ShotConfig(shots=1000, seed=5, n_steps=3)
     summary = run_shots(rho, h, tau, probe, cfg)
     # rho'_A = I/2 has members |0> (draw below 1/2) and |1> (at or above)
-    member_one = int(np.sum(_shot_uniforms(cfg.seed, cfg.n_steps, 0, cfg.shots)[:, 0] >= 0.5))
+    member_one = int(np.sum(_shot_uniforms(cfg.seed, 0, cfg.shots)[:, 0] >= 0.5))
     assert 0 < member_one < cfg.shots
     expected = [cfg.shots] + [member_one] * cfg.n_steps
     assert summary.successes_at_step.tolist() == expected
