@@ -17,11 +17,10 @@ rho'_A = <phi|rho_tot|phi> once, as one ``Conditioned`` system: ``evolve``
 iterates the exact conditional state on it, and ``trajectories.sample``
 draws its shots from it.  rho_A = W S W^dag for W = [u_k sqrt(|lambda_k| / p0)]
 over the nonzero lambda_k and S = diag(sign lambda_k), so n confirmations
-map it to V^n W S (V^n W)^dag.  ``evolve`` fills blocks of B steps by
-doubling, W_(n + 2^k) = V^(2^k) W_n: d^2 r per step for a start of rank r,
-plus ceil(log2 B) squarings of V (d^3 each) per call; at d^2 > 2^15 it is
-the plain loop W <- V W.  The trace is columnar: arrays of P(n), the
-fidelity and the states, with per-step objects built only when read.
+map it to V^n W S (V^n W)^dag.  ``Conditioned.orbit``, the one place V^n
+is applied, yields V^n W to ``evolve`` and V^n u_k to the sampler.  The
+trace is columnar: arrays of P(n), the fidelity and the states, with
+per-step objects built only when read.
 
 V is built from the probe rows of the Hamiltonian's cached Hermitian
 spectrum (``Operator.hermitian_spectrum``), never from the full
@@ -50,7 +49,7 @@ P0_FLOOR = 1e-14
 SURVIVAL_FLOOR = 1e-300
 DOMINANCE_TOL = 1e-9
 STATE_TOL = 1e-10
-_STATE_BLOCK_ELEMENTS = 1 << 15  # bounds the per-block W stack and state temporaries
+_STATE_BLOCK_ELEMENTS = 1 << 15  # bounds each orbit stack (evolve's and the sampler's) and states
 
 
 def _check_psd(evals: np.ndarray) -> None:
@@ -282,6 +281,36 @@ class Conditioned:
     members: np.ndarray
     p0: float
 
+    def orbit(self, w: np.ndarray, n_steps: int):
+        """Yield ``(start, stack)`` with ``stack[j] = V^(start + j) w`` for
+        n = 0 .. n_steps; ``w`` is a (d x r) factor, and ``stack`` one buffer
+        that the next block overwrites.
+
+        Blocks are B = max(1, _STATE_BLOCK_ELEMENTS // d^2) steps.  A block
+        starts from w, or V times the previous block's last row, and is
+        filled by doubling, V^(n + 2^k) w = V^(2^k) V^n w for the next
+        min(2^k, rest) steps, one batched product each.  Each V^(2^k) is
+        squared once per call, on first need: d^2 r per step plus at most
+        ceil(log2 B) squarings (d^3 each); at B = 1 (d^2 > 2^15) it is the
+        plain loop w <- V w.
+        """
+        vm, d = self.v.entries, self.v.dim
+        block = max(1, _STATE_BLOCK_ELEMENTS // (d * d))
+        w_block = np.empty((min(block, n_steps + 1),) + w.shape, dtype=complex)
+        powers = [vm]  # V^(2^k), squared on first need and kept for later blocks
+        for start in range(0, n_steps + 1, block):
+            wb = w_block[: min(block, n_steps + 1 - start)]
+            # the previous block, whose last row this reads, was a full one
+            wb[0] = w if start == 0 else vm @ w_block[-1]
+            have, k = 1, 0
+            while have < len(wb):
+                if k == len(powers):
+                    powers.append(powers[-1] @ powers[-1])
+                take = min(have, len(wb) - have)
+                np.matmul(powers[k], wb[:take], out=wb[have : have + take])
+                have, k = have + take, k + 1
+            yield start, wb
+
 
 def condition(
     rho_tot: DensityMatrix, h_tot: Operator, tau: float, probe: ProbeSpec
@@ -372,17 +401,10 @@ def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) 
     with the step-zero convention P(0) = p0.  The success probability is
     non-increasing in n.
 
-    The recursion runs on the factor W (module docstring), in blocks of
-    B = max(1, _STATE_BLOCK_ELEMENTS // d^2) steps.  A block starts from
-    W_0, or from V times the last W of the previous block, and is filled
-    by doubling: W_(n + 2^k) = V^(2^k) W_n for the next min(2^k, rest)
-    steps, one batched product each.  Each V^(2^k) is squared once, when
-    the first block that needs it is reached, so a call makes at most
-    ceil(log2 B) squarings; with B = 1 (d^2 > 2^15) none, and the fill is
-    the plain loop W <- V W.  The states W S W^dag / Tr[W S W^dag] and the
-    fidelity column are then built per block.  ``target`` gets the length
-    and unit-norm check of ``fidelity`` (and its DimensionMismatch or
-    ValueError) once, before the loop.
+    For each block of W_n = V^n W from ``system.orbit`` (module docstring),
+    the states W_n S W_n^dag / Tr[...] and the fidelity column are built at
+    once.  ``target`` gets the length and unit-norm check of ``fidelity``
+    (and its DimensionMismatch or ValueError) once, before the loop.
 
     Raises
     ------
@@ -392,7 +414,7 @@ def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) 
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    vm, d = system.v.entries, system.v.dim
+    d = system.v.dim
     t = None if target is None else _checked_target(target, d)
     weights, members, p0 = system.weights, system.members, system.p0
     if p0 < P0_FLOOR:
@@ -401,24 +423,11 @@ def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) 
     signs = np.sign(weights[kept])
     w = members[:, kept] * np.sqrt(np.abs(weights[kept]) / p0)
 
-    block = max(1, _STATE_BLOCK_ELEMENTS // (d * d))
     probs = np.empty(n_steps + 1)
     fids = None if t is None else np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, d, d), dtype=complex)
-    w_block = np.empty((min(block, n_steps + 1),) + w.shape, dtype=complex)
-    powers = [vm]  # V^(2^k), squared on first need and kept for later blocks
-    for start in range(0, n_steps + 1, block):
-        stop = min(start + block, n_steps + 1)
-        wb = w_block[: stop - start]
-        # the previous block, whose last W this reads, was a full one
-        wb[0] = w if start == 0 else vm @ w_block[-1]
-        have, k = 1, 0
-        while have < len(wb):
-            if k == len(powers):
-                powers.append(powers[-1] @ powers[-1])
-            take = min(have, len(wb) - have)
-            np.matmul(powers[k], wb[:take], out=wb[have : have + take])
-            have, k = have + take, k + 1
+    for start, wb in system.orbit(w, n_steps):
+        stop = start + len(wb)
         out = states[start:stop]
         np.matmul(wb * signs, wb.conj().transpose(0, 2, 1), out=out)
         q = np.einsum("nii->n", out).real

@@ -9,33 +9,28 @@ ensemble ``engine.evolve`` factors), a shot passes n = 0 as u_k with
 probability lambda_k and fails with probability 1 - p0 = 1 - sum_k lambda_k.
 A confirmed measurement maps the target state deterministically,
 chi -> V chi / |V chi| with V = <phi|_X exp(-i H tau) |phi>_X (the
-system's ``v``), so every shot that starts in u_k follows one path (the
-no-jump picture of Dalibard, Castin and Molmer):
-
-    x_k(0) = u_k,   s_k(n) = |V x_k(n-1)|^2,   x_k(n) = V x_k(n-1) / sqrt(s_k(n)).
-
-Such a shot survives step n with probability s_k(n), given that it
-survived every earlier step; the first time it finds the probe outside
-|phi>_X it is discarded.  A path that V annihilates (s_k(n) = 0) stays
-the zero vector, and all of its shots die at step n.  As
-P(n) = sum_k lambda_k |V^n u_k|^2, surviving counts per step estimate the
-exact P(n), and the survivors' final states, sum_k c_k x_k x_k^dag over
-the c_k survivors of each member, average into an estimate of the exact
-conditional state.
+system's ``v``), so every shot that starts in u_k follows one path, the
+no-jump path x_k(n) = V^n u_k / |V^n u_k| of Dalibard, Castin and Molmer.
+It passes step n with probability |V x_k(n-1)|^2 given that it passed
+every earlier step, so steps 1 .. n with probability |V^n u_k|^2; the
+first time it finds the probe outside |phi>_X it is discarded.  A path
+that V annihilates stays the zero vector, and all of its shots die
+there.  As P(n) = sum_k lambda_k |V^n u_k|^2, surviving counts per step
+estimate the exact P(n), and the survivors' final states,
+sum_k c_k x_k x_k^dag over the c_k survivors of each member, average
+into an estimate of the exact conditional state.
 
 Death times are drawn in the waiting-time form of the quantum-jump
 method (Dalibard, Castin and Molmer, PRL 68, 580 (1992); Plenio and
 Knight, RMP 70, 101 (1998)): instead of one uniform per step, a shot
-draws one uniform v and compares it with the decaying norm of its
-no-jump path, S_k(0) = 1 and S_k(n) the running minimum of
-prod_{m <= n} s_k(m).  The shot is alive at step n exactly when
-v < S_k(n), which has the per-step law above; the running minimum only
-keeps S_k non-increasing under rounding.  The survivors of member k at
-every step are then one ``searchsorted`` of S_k into the sorted death
-uniforms of its shots.  The path of a member is computed once, the
-first time it is drawn, so the cost is one product with V per drawn
-member and step, one sort of the shots' death uniforms, and one binary
-search per drawn member and step; no (shots x steps) array is formed.
+draws one uniform v and is alive at step n exactly when v < S_k(n), with
+S_k(0) = 1 and S_k(n) the running minimum of |V^n u_k|^2, which has the
+per-step law above; the running minimum only keeps S_k non-increasing
+under rounding.  The survivors of member k at every step are one
+``searchsorted`` of S_k into the sorted death uniforms of its shots.  A
+member's S_k and x_k are computed once, the first time it is drawn, from
+the V^n u_k of ``engine.Conditioned.orbit``, the fill ``engine.evolve``
+uses too; no (shots x steps) array is formed.
 
 All draws come from one Philox stream keyed by the seed.  Row i of a
 (shots, 2) array of uniforms belongs to shot i: column 0 picks the
@@ -111,22 +106,26 @@ def _shot_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
     return np.random.Generator(bitgen).random((stop - start + odd, 2))[odd:]
 
 
-def _member_paths(u: np.ndarray, vt: np.ndarray, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """No-jump paths of the ensemble members in the rows of ``u``.
+def _member_survival(
+    system: Conditioned, u: np.ndarray, n_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Survival table and final states of the members in the columns of ``u``.
 
-    Returns the survival table ``s`` (rows x n_steps + 1) and the final
-    states x(n_steps) as rows.  ``s[j, 0] = 1`` stands for the passed
-    n = 0 measurement and ``s[j, n] = |V x_j(n-1)|^2``; ``vt`` is V
-    transposed.  A path V annihilates stays zero instead of becoming 0/0.
+    S (columns x n_steps + 1) has S[j, 0] = 1 and S[j, n] the running minimum
+    of |V^n u_j|^2; the final states V^N u_j / |V^N u_j| (N = n_steps) are
+    rows, and the zero vector, not 0/0, on a path that V annihilates.
     """
-    s = np.ones((u.shape[0], n_steps + 1))
-    x = u
-    for n in range(1, n_steps + 1):
-        amp = x @ vt
-        s[:, n] = np.einsum("sa,sa->s", amp, amp.conj()).real
-        norm = np.sqrt(s[:, n])[:, None]
-        x = np.divide(amp, norm, out=np.zeros_like(amp), where=norm > 0.0)
-    return s, x
+    table = np.empty((u.shape[1], n_steps + 1))
+    for start, stack in system.orbit(u, n_steps):
+        # |V^n u_j|^2 from the real and imaginary views: no complex temporary
+        norms = table[:, start : start + len(stack)]
+        np.einsum("naj,naj->jn", stack.real, stack.real, out=norms)
+        norms += np.einsum("naj,naj->jn", stack.imag, stack.imag)
+    norm = np.sqrt(table[:, -1:])
+    final = np.divide(stack[-1].T, norm, out=np.zeros(u.shape[::-1], complex), where=norm > 0.0)
+    table[:, 0] = 1.0
+    np.minimum.accumulate(table, axis=1, out=table)
+    return table, final
 
 
 def sample(system: Conditioned, cfg: ShotConfig) -> ShotSummary:
@@ -136,19 +135,11 @@ def sample(system: Conditioned, cfg: ShotConfig) -> ShotSummary:
     measurements (the conditioning one at n = 0 included) all found the
     probe in |phi>_X, so ``frequency[n]`` estimates the exact P(n).
 
-    Shots are not evolved one by one: each ensemble member drawn gets one
-    path (``_member_paths``) the first time a block draws it, and with it
-    the non-increasing survival S_k(n), the running minimum of
-    prod_{m <= n} s_k(m).  A shot with death uniform v is alive at step n
-    exactly when v < S_k(n), so one ``searchsorted`` of S_k into the
-    sorted death uniforms of the member's shots counts its survivors at
-    every step.  The survivor estimate is sum_k c_k x_k x_k^dag / sum_k c_k
-    over the c_k survivors of member k.  The counts and the estimate are
-    those of evolving every survivor on the same draws.
+    A drawn member's survival S_k and final state x_k come from
+    ``_member_survival`` (module docstring); the counts and the estimate
+    are those of evolving every survivor on the same draws.
     """
     cum = np.cumsum(np.clip(system.weights, 0.0, None))
-    members = system.members.T  # row k is the unit eigenvector of lambda_k
-    vt = system.v.entries.T
     dim_a, n_steps = system.v.dim, cfg.n_steps
 
     # Path rows of the survival table S and final states.  Member index
@@ -169,8 +160,8 @@ def sample(system: Conditioned, cfg: ShotConfig) -> ShotSummary:
         new = np.flatnonzero((np.bincount(k, minlength=dim_a + 1) > 0) & (row_of < 0))
         if new.size:
             row_of[new] = np.arange(len(table), len(table) + new.size)
-            s, x = _member_paths(members[new], vt, n_steps)
-            table = np.vstack([table, np.minimum.accumulate(np.cumprod(s, axis=1), axis=1)])
+            s, x = _member_survival(system, system.members[:, new], n_steps)
+            table = np.vstack([table, s])
             final = np.vstack([final, x])
             counts = np.concatenate([counts, np.zeros(new.size, dtype=np.int64)])
         rows = row_of[k]

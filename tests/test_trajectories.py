@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from zenopur import engine
 from zenopur.engine import (
     DensityMatrix,
     ProbeSpec,
@@ -351,16 +352,33 @@ def test_death_times_follow_the_exact_law_over_many_seeds(inputs):
     assert np.all((spread >= 0.8) & (spread <= 1.2))
 
 
-@pytest.mark.parametrize("rows", [1, 7, None])
-@pytest.mark.parametrize("inputs", ["random-entangled", "paper-mixed"])
-def test_member_paths_follow_per_shot_law(monkeypatch, inputs, rows):
+def per_shot_cases():
+    """(inputs, shot rows per block, state block steps) of the per-shot law
+    test; cases at the default state block keep the id without a block."""
+    for inputs in ("random-entangled", "paper-mixed", "paper-mixed-3000"):
+        for rows in (1, 7, None):
+            for steps in (None, 1, 3, 16):
+                block = "" if steps is None else f"-block{steps}"
+                yield pytest.param(inputs, rows, steps, id=f"{inputs}-{rows}{block}")
+
+
+@pytest.mark.parametrize("inputs, rows, block_steps", per_shot_cases())
+def test_member_paths_follow_per_shot_law(monkeypatch, inputs, rows, block_steps):
+    # the sampler's paths come from the orbit, whose state block (1, 3, 16
+    # or the default 2048 steps at d = 4, which 3000 steps cross) must not
+    # change a count
     if inputs == "random-entangled":
         h, probe, rho = random_entangled_inputs()
         tau = 0.3
     else:
         h, probe, rho, tau = paper_mixed_inputs()
-    cfg = ShotConfig(shots=600, seed=90210, n_steps=6)
+    if inputs == "paper-mixed-3000":
+        cfg = ShotConfig(shots=200, seed=90210, n_steps=3000)
+    else:
+        cfg = ShotConfig(shots=600, seed=90210, n_steps=6)
     set_block_rows(monkeypatch, rows or cfg.shots)
+    if block_steps is not None:
+        monkeypatch.setattr(engine, "_STATE_BLOCK_ELEMENTS", block_steps * probe.dim_a**2)
     summary = run_shots(rho, h, tau, probe, cfg)
     successes, mean = per_shot_reference(rho, h, tau, probe, cfg)
     assert 0 < successes[-1] < successes[0]
@@ -368,6 +386,17 @@ def test_member_paths_follow_per_shot_law(monkeypatch, inputs, rows):
     np.testing.assert_allclose(
         summary.final_state_estimate.entries, mean, rtol=0.0, atol=1e-12
     )
+
+
+def test_sampler_survival_is_the_protocol_probability():
+    # one member, u = |ud>: S(n) = |V^n u|^2 = P(n) / p0, both from one orbit
+    p, h, probe, rho = reference_inputs()
+    system = condition(rho, h, p.tau, probe)
+    assert np.count_nonzero(system.weights > 1e-12) == 1
+    table, _ = trajectories._member_survival(system, system.members[:, -1:], 3000)
+    probs = evolve(system, 3000).success_prob
+    assert probs[-1] > 0.1
+    np.testing.assert_allclose(table[0], probs / system.p0, rtol=1e-13, atol=0.0)
 
 
 def test_zero_steps_estimate_is_the_drawn_ensemble():
@@ -401,10 +430,10 @@ def test_exactly_annihilated_path_stays_zero():
     # V = |1><1| exactly: s = 0 on the |0> path, which must not become 0/0
     h, probe, rho, tau = annihilating_inputs(np.eye(2, dtype=complex) / 2.0)
     exact_v = Operator(np.diag([0.0, 1.0]), (2,))
-    s, x = trajectories._member_paths(np.eye(2, dtype=complex), exact_v.entries.T, 3)
+    system = replace(condition(rho, h, tau, probe), v=exact_v)
+    s, x = trajectories._member_survival(system, np.eye(2, dtype=complex), 3)
     assert np.array_equal(s, [[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
     assert np.array_equal(x, np.diag([0.0, 1.0]))
-    system = replace(condition(rho, h, tau, probe), v=exact_v)
     summary = sample(system, ShotConfig(shots=400, seed=8, n_steps=2))
     survivors = summary.successes_at_step
     assert survivors[0] == 400 and survivors[1] == survivors[2] > 0
