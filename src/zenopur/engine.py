@@ -12,15 +12,14 @@ a non-normal contraction on A whose dominant eigenvector is the state the
 protocol selects.  ``spectral_report`` and ``efficiency_check`` analyze V
 itself.
 
-``condition`` builds V and the eigenpairs lambda_k, u_k of the block
-rho'_A = <phi|rho_tot|phi> once, as one ``Conditioned`` system: ``evolve``
-iterates the exact conditional state on it, and ``trajectories.sample``
-draws its shots from it.  rho_A = W S W^dag for W = [u_k sqrt(|lambda_k| / p0)]
-over the nonzero lambda_k and S = diag(sign lambda_k), so n confirmations
-map it to V^n W S (V^n W)^dag.  ``Conditioned.orbit``, the one place V^n
-is applied, yields V^n W to ``evolve`` and V^n u_k to the sampler.  The
-trace is columnar: arrays of P(n), the fidelity and the states, with
-per-step objects built only when read.
+``condition`` builds V and the eigenpairs lambda_k > STATE_TOL * p0, u_k of
+rho'_A = <phi|rho_tot|phi> once, as one ``Conditioned`` system that
+``evolve`` iterates and ``trajectories.sample`` draws its shots from:
+rho_A = W W^dag for W = [u_k sqrt(lambda_k / p0)], so n confirmations map
+it to V^n W (V^n W)^dag.  ``Conditioned.orbit``, the one place V^n is
+applied, yields V^n W to ``evolve`` and V^n u_k to the sampler.  The trace
+is columnar: arrays of P(n), the fidelity and the states, with per-step
+objects built only when read.
 
 V is built from the probe rows of the Hamiltonian's cached Hermitian
 spectrum (``Operator.hermitian_spectrum``), never from the full
@@ -272,8 +271,9 @@ class Conditioned:
 
     ``v`` is the projected evolution operator V on A, ``weights`` (ascending,
     read-only) and the columns of ``members`` (read-only) the eigenpairs
-    lambda_k, u_k of rho'_A = ``probe_block(rho_tot, probe)``, and ``p0`` its
-    trace.  ``evolve`` and ``trajectories.sample`` both run on it.
+    lambda_k > STATE_TOL * max(p0, 0), u_k of rho'_A = ``probe_block(rho_tot,
+    probe)``, and ``p0`` its trace; the cut moves P(n) by at most
+    sum_dropped |lambda_k|.  ``evolve`` and ``trajectories.sample`` run on it.
     """
 
     v: Operator
@@ -319,9 +319,10 @@ def condition(
 
     ``projected_evolution`` checks ``tau`` and the Hamiltonian's dimension,
     ``probe_block`` the state's.  When p0 >= ``P0_FLOOR``, rho'_A / p0 must
-    be positive semidefinite within ``STATE_TOL``, as a ``DensityMatrix``.
-    A smaller p0 is left to the caller: ``evolve`` rejects it, and
-    ``trajectories.sample`` lets a shot pass n = 0 with probability p0.
+    be positive semidefinite within ``STATE_TOL``, as a ``DensityMatrix``;
+    a smaller p0 is left to ``evolve``, which rejects it.  Only the members
+    lambda_k > STATE_TOL * max(p0, 0) are kept, all positive at any p0, and
+    as V is a contraction the cut moves P(n) by at most sum_dropped |lambda_k|.
 
     Raises
     ------
@@ -334,6 +335,8 @@ def condition(
     p0 = float(np.trace(block).real)
     if p0 >= P0_FLOOR:
         _check_psd(weights / p0)
+    kept = weights > STATE_TOL * max(p0, 0.0)
+    weights, members = weights[kept], members[:, kept]
     weights.setflags(write=False)
     members.setflags(write=False)
     return Conditioned(v, weights, members, p0)
@@ -397,12 +400,12 @@ def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) 
 
         rho_A(n) = V^n rho_A V^dag^n / Tr[...],
 
-    and the cumulative success probability P(n) = p0 * Tr[V^n rho_A V^dag^n],
-    with the step-zero convention P(0) = p0.  The success probability is
-    non-increasing in n.
+    and the cumulative success probability P(n) = p0 * Tr[V^n rho_A V^dag^n]
+    >= 0, non-increasing in n, for rho_A on the members ``condition`` keeps:
+    within sum_dropped |lambda_k| of that of the whole rho'_A.
 
     For each block of W_n = V^n W from ``system.orbit`` (module docstring),
-    the states W_n S W_n^dag / Tr[...] and the fidelity column are built at
+    the states W_n W_n^dag / Tr[...] and the fidelity column are built at
     once.  ``target`` gets the length and unit-norm check of ``fidelity``
     (and its DimensionMismatch or ValueError) once, before the loop.
 
@@ -416,12 +419,10 @@ def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) 
         raise ValueError("n_steps must be nonnegative")
     d = system.v.dim
     t = None if target is None else _checked_target(target, d)
-    weights, members, p0 = system.weights, system.members, system.p0
+    p0 = system.p0
     if p0 < P0_FLOOR:
         raise ZeroProbability(f"probe outcome probability {p0:.3e} vanishes")
-    kept = weights != 0.0
-    signs = np.sign(weights[kept])
-    w = members[:, kept] * np.sqrt(np.abs(weights[kept]) / p0)
+    w = system.members * np.sqrt(system.weights / p0)
 
     probs = np.empty(n_steps + 1)
     fids = None if t is None else np.empty(n_steps + 1)
@@ -429,7 +430,7 @@ def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) 
     for start, wb in system.orbit(w, n_steps):
         stop = start + len(wb)
         out = states[start:stop]
-        np.matmul(wb * signs, wb.conj().transpose(0, 2, 1), out=out)
+        np.matmul(wb, wb.conj().transpose(0, 2, 1), out=out)
         q = np.einsum("nii->n", out).real
         p = p0 * q
         # checked before dividing by q, so no 0/0 can occur

@@ -2,11 +2,11 @@
 
 Each shot is a string of binary Born-rule measurements of the probe
 projector: one at n = 0 and one after every period tau.  The ensemble is
-drawn on the target space: with lambda_k, u_k the eigenpairs of the
-unnormalized block rho'_A = <phi|rho_tot|phi>, held by the
-``engine.Conditioned`` system that ``engine.condition`` builds (the same
-ensemble ``engine.evolve`` factors), a shot passes n = 0 as u_k with
-probability lambda_k and fails with probability 1 - p0 = 1 - sum_k lambda_k.
+drawn on the target space: with lambda_k > 0, u_k the eigenpairs of the
+unnormalized block rho'_A = <phi|rho_tot|phi> that ``engine.condition``
+keeps in its ``engine.Conditioned`` system (the ensemble ``engine.evolve``
+factors too), a shot passes n = 0 as u_k with probability lambda_k and
+fails with probability 1 - sum_k lambda_k, 1 - p0 up to the members cut.
 A confirmed measurement maps the target state deterministically,
 chi -> V chi / |V chi| with V = <phi|_X exp(-i H tau) |phi>_X (the
 system's ``v``), so every shot that starts in u_k follows one path, the
@@ -139,16 +139,15 @@ def sample(system: Conditioned, cfg: ShotConfig) -> ShotSummary:
     ``_member_survival`` (module docstring); the counts and the estimate
     are those of evolving every survivor on the same draws.
     """
-    cum = np.cumsum(np.clip(system.weights, 0.0, None))
-    dim_a, n_steps = system.v.dim, cfg.n_steps
+    cum = np.cumsum(system.weights)
+    r, n_steps = len(system.weights), cfg.n_steps
 
-    # Path rows of the survival table S and final states.  Member index
-    # dim_a, which a uniform at or above sum_k lambda_k = p0 picks, is the
-    # failed n = 0 measurement: row 0, a path with S = 0 at every step.
-    row_of = np.full(dim_a + 1, -1)
-    row_of[dim_a] = 0
+    # Path rows of the survival table S and final states.  Row 0 is member
+    # index r, the failed n = 0 measurement a uniform >= sum_k lambda_k picks.
+    row_of = np.full(r + 1, -1)
+    row_of[r] = 0
     table = np.zeros((1, n_steps + 1))
-    final = np.zeros((1, dim_a), dtype=complex)
+    final = np.zeros((1, system.v.dim), dtype=complex)
     counts = np.zeros(1, dtype=np.int64)  # shots alive at n_steps, per path
     successes = np.zeros(n_steps + 1, dtype=np.int64)
     rows_per_block = max(1, _BLOCK_UNIFORMS // 2)
@@ -157,7 +156,7 @@ def sample(system: Conditioned, cfg: ShotConfig) -> ShotSummary:
         draws = _shot_uniforms(cfg.seed, start, stop)
         # column 0 picks member k with probability lambda_k
         k = np.searchsorted(cum, draws[:, 0], side="right")
-        new = np.flatnonzero((np.bincount(k, minlength=dim_a + 1) > 0) & (row_of < 0))
+        new = np.flatnonzero((np.bincount(k, minlength=r + 1) > 0) & (row_of < 0))
         if new.size:
             row_of[new] = np.arange(len(table), len(table) + new.size)
             s, x = _member_survival(system, system.members[:, new], n_steps)
@@ -165,13 +164,13 @@ def sample(system: Conditioned, cfg: ShotConfig) -> ShotSummary:
             final = np.vstack([final, x])
             counts = np.concatenate([counts, np.zeros(new.size, dtype=np.int64)])
         rows = row_of[k]
-        # column 1 is the death uniform v: a shot on path r is alive at
-        # step n when v < S_r(n), so the sorted v of the path give every
+        # column 1 is the death uniform v: a shot on path j is alive at
+        # step n when v < S_j(n), so the sorted v of the path give every
         # step's survivors with one search
-        for r in np.flatnonzero(np.bincount(rows)):
-            alive = np.searchsorted(np.sort(draws[rows == r, 1]), table[r])
+        for j in np.flatnonzero(np.bincount(rows)):
+            alive = np.searchsorted(np.sort(draws[rows == j, 1]), table[j])
             successes += alive
-            counts[r] += alive[-1]
+            counts[j] += alive[-1]
 
     frequency = successes / float(cfg.shots)
     estimate = None

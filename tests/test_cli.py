@@ -844,20 +844,27 @@ def test_import_loads_no_scipy():
 # golden bytes
 
 
+SHOTS_ARGV = ["shots", "--seed", "7", "--shots", "2000"]
+
+
 @pytest.mark.parametrize(
-    "argv, golden",
+    "config, argv, golden",
     [
-        (["run"], "run.csv"),
-        (["spectrum"], "spectrum.json"),
-        (["sweep"], "sweep.csv"),
-        (["shots", "--seed", "7", "--shots", "2000"], "shots_seed7_2000.csv"),
+        ("readme.json", ["run"], "run.csv"),
+        ("readme.json", ["spectrum"], "spectrum.json"),
+        ("readme.json", ["sweep"], "sweep.csv"),
+        ("readme.json", SHOTS_ARGV, "shots_seed7_2000.csv"),
+        # a 2 x 6 custom system whose rank-2 start, rounded to 12 decimals,
+        # leaves rho'_A four noise eigenvalues of about +-1e-12
+        ("custom_rounded.json", ["run"], "custom_rounded_run.csv"),
+        ("custom_rounded.json", SHOTS_ARGV, "custom_rounded_shots_seed7_2000.csv"),
     ],
-    ids=["run", "spectrum", "sweep", "shots"],
+    ids=["run", "spectrum", "sweep", "shots", "custom-rounded-run", "custom-rounded-shots"],
 )
-def test_readme_config_golden_bytes(tmp_path, capsys, argv, golden):
-    # the README config, byte for byte; the golden files are checked-in output
+def test_readme_config_golden_bytes(tmp_path, capsys, config, argv, golden):
+    # each checked-in config, byte for byte; the golden files are checked-in output
     dest = tmp_path / golden
-    cfg = str(GOLDEN / "readme.json")
+    cfg = str(GOLDEN / config)
     assert main(argv + ["--config", cfg, "--out", str(dest)]) == 0
     capsys.readouterr()
     assert dest.read_bytes() == (GOLDEN / golden).read_bytes()

@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from zenopur import engine
 from zenopur.engine import (
+    STATE_TOL,
     SURVIVAL_FLOOR,
     DensityMatrix,
     ProbeSpec,
@@ -15,6 +16,7 @@ from zenopur.engine import (
     efficiency_check,
     evolve,
     fidelity,
+    probe_block,
     projected_evolution,
     run_protocol,
     spectral_report,
@@ -26,6 +28,7 @@ from zenopur.exceptions import (
     ZeroProbability,
 )
 from zenopur.linalg import Operator, matrix_exponential
+from zenopur import trajectories
 from zenopur.trajectories import ShotConfig, run_shots
 
 
@@ -54,13 +57,20 @@ def full_space_trace(rho_tot, h, tau, phi, dim_x, dim_a, n_steps):
     return states, probs
 
 
-def dense_reference(rho_tot, h, tau, probe, n_steps, target=None):
+def dense_reference(rho_tot, h, tau, probe, n_steps, target=None, truncate=True):
     """The dense recursion sigma <- V sigma V^dag that ``run_protocol``
     iterated before the factor: returns P(n), the states and the
-    fidelities, and raises the same ZeroProbability on underflow."""
-    v = projected_evolution(h, tau, probe).entries
-    rho_a, p0 = condition_on_probe(rho_tot, probe)
-    sigma = rho_a.entries
+    fidelities, and raises the same ZeroProbability on underflow.
+
+    It starts from rho'_A / p0 on the members ``condition`` keeps, the
+    start the factor evolves, or with ``truncate=False`` from the whole
+    probe block rho'_A / p0."""
+    system = condition(rho_tot, h, tau, probe)
+    v, p0 = system.v.entries, system.p0
+    if truncate:
+        sigma = (system.members * (system.weights / p0)) @ system.members.conj().T
+    else:
+        sigma = probe_block(rho_tot, probe) / p0
     probs, states = [], []
     for n in range(n_steps + 1):
         if n > 0:
@@ -73,6 +83,13 @@ def dense_reference(rho_tot, h, tau, probe, n_steps, target=None):
         states.append(sigma / q)
     fids = None if target is None else [np.real(target.conj() @ m @ target) for m in states]
     return np.array(probs), np.array(states), fids
+
+
+def dropped_weight(rho_tot, probe):
+    """sum |lambda_k| over the eigenvalues of rho'_A that ``condition`` drops."""
+    block = probe_block(rho_tot, probe)
+    lam = np.linalg.eigvalsh(block)
+    return np.abs(lam[lam <= STATE_TOL * max(np.trace(block).real, 0.0)]).sum()
 
 
 def rand_hermitian(rng, dim, scale=1.0):
@@ -383,6 +400,11 @@ def test_factor_recursion_matches_dense_reference(kind):
     np.testing.assert_allclose(trace.fidelity, fids, rtol=0, atol=1e-12)
     assert trace.states.shape == (61, probe.dim_a, probe.dim_a)
     assert [step.n for step in trace.steps] == list(range(61))
+    # the untruncated start: V is a contraction, so the members condition
+    # drops move P(n) by at most the sum of their |lambda_k|
+    full, _, _ = dense_reference(rho, h, tau, probe, 60, truncate=False)
+    bound = dropped_weight(rho, probe) + 1e-12 * full
+    assert np.all(np.abs(trace.success_prob - full) <= bound)
 
 
 def test_detuned_run_underflows_at_the_reference_step():
@@ -395,6 +417,28 @@ def test_detuned_run_underflows_at_the_reference_step():
         run_protocol(*args)
     assert str(factor.value) == str(reference.value)
     assert str(factor.value).endswith("step 6876")
+
+
+def test_start_with_a_rounding_negative_member_runs_to_the_end():
+    # rho_A = (1 + 1e-11)|psi+><psi+| - 1e-11|psi-><psi-| is a valid
+    # DensityMatrix; psi- is V's |lambda| = 1 eigenvector, so the signed P(n)
+    # of the whole rho'_A falls below zero once the psi+ share has decayed
+    p, h, probe = reference_setup()
+    psi_plus = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+    rho_a = (1 + 1e-11) * np.outer(psi_plus, psi_plus) - 1e-11 * np.outer(PSI_MINUS, PSI_MINUS)
+    rho = DensityMatrix(Operator(np.kron(np.outer(RIGHT, RIGHT), rho_a), (2, 2, 2)))
+    probs = run_protocol(rho, h, p.tau, probe, 200).success_prob
+    assert probs.shape == (201,)
+    assert np.all(probs >= 0.0)
+    # non-increasing up to rounding: once the psi+ share has decayed, P(n) is
+    # the square of the fill's absolute rounding error, about (d eps)^2 P(0)
+    assert np.all(probs[1:] <= probs[:-1] * (1.0 + 1e-12) + 1e-30 * probs[0])
+    # against the oracle on the whole start: within the dropped weight,
+    # plus a rounding allowance of 1e-12 P(0)
+    _, oracle = full_space_trace(rho.entries, h.entries, p.tau, probe.phi_x, 2, 4, 200)
+    bound = dropped_weight(rho, probe)
+    assert bound > 0.0
+    assert np.all(np.abs(probs - oracle) <= bound + 1e-12 * probs[0])
 
 
 def set_block_steps(monkeypatch, steps, dim_a):
@@ -433,14 +477,12 @@ def test_one_step_blocks_are_the_plain_loop(monkeypatch, kind):
     rho, h, tau, probe, target = factor_starts(kind)
     system = condition(rho, h, tau, probe)
     trace = evolve(system, 40, target=target)
-    kept = system.weights != 0.0
-    signs = np.sign(system.weights[kept])
-    w = system.members[:, kept] * np.sqrt(np.abs(system.weights[kept]) / system.p0)
+    w = system.members * np.sqrt(system.weights / system.p0)
     probs, states, fids = [], [], []
     for n in range(41):
         if n > 0:
             w = system.v.entries @ w
-        m = (w * signs) @ w.conj().T
+        m = w @ w.conj().T
         q = np.einsum("nii->n", m[None]).real[0]
         m.view(float)[...] /= q
         probs.append(system.p0 * q)
@@ -680,6 +722,28 @@ def test_protocol_matches_full_space_oracle_over_random_inputs(inputs, data):
         np.testing.assert_allclose(step.state.entries, state, rtol=0, atol=1e-10)
         np.testing.assert_allclose(step.success_prob, prob, rtol=1e-10, atol=0)
         assert step.fidelity == fidelity(step.state, target)
+
+
+def check_one_ensemble(rho, h, tau, probe):
+    """The sampler's members, drawn with probability lambda_k and surviving
+    step n with S_k(n), give evolve's P(n) = sum_k lambda_k S_k(n)."""
+    system = condition(rho, h, tau, probe)
+    assert np.all(system.weights > 0.0)
+    table, _ = trajectories._member_survival(system, system.members, 8)
+    probs = evolve(system, 8).success_prob
+    np.testing.assert_allclose(system.weights @ table, probs, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(protocol_inputs())
+def test_sampler_and_protocol_read_one_ensemble(inputs):
+    check_one_ensemble(*inputs)
+
+
+def test_sampler_and_protocol_read_one_ensemble_without_noise_members():
+    # rho'_A carries members of weight +-1e-11 p0, inside STATE_TOL
+    rho, h, tau, probe, _ = factor_starts("indefinite")
+    check_one_ensemble(rho, h, tau, probe)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

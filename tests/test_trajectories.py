@@ -15,7 +15,7 @@ from zenopur.engine import (
     projected_evolution,
     run_protocol,
 )
-from zenopur.exceptions import DimensionMismatch
+from zenopur.exceptions import DimensionMismatch, ZeroProbability
 from zenopur.linalg import Operator
 from zenopur.model3q import ModelParams, bell_basis, build_hamiltonian, probe_spec
 from zenopur import trajectories
@@ -474,3 +474,36 @@ def test_non_psd_conditional_start_rejected_before_sampling():
         run_shots(rho, h, 1.0, probe, ShotConfig(shots=10, seed=0, n_steps=3))
     assert str(shots.value) == str(protocol.value)
     assert "negative eigenvalue" in str(shots.value)
+
+
+def test_probe_orthogonal_to_the_start_keeps_no_member():
+    # start |1><1| (x) rho_a, probe |0>: rho'_A = 0 and p0 = 0 exactly
+    h, probe, _, tau = annihilating_inputs(np.eye(2, dtype=complex) / 2.0)
+    rho = DensityMatrix(Operator(np.kron(np.diag([0.0, 1.0]), np.eye(2) / 2.0), (2, 2)))
+    system = condition(rho, h, tau, probe)
+    assert system.p0 == 0.0
+    assert system.weights.shape == (0,) and system.members.shape == (2, 0)
+    summary = sample(system, ShotConfig(shots=300, seed=4, n_steps=3))
+    assert summary.frequency.tolist() == [0.0] * 4
+    assert summary.final_state_estimate is None
+    with pytest.raises(ZeroProbability, match="probe outcome probability"):
+        evolve(system, 3)
+
+
+def test_rounding_negative_p0_keeps_only_positive_weights():
+    # rho'_A = U diag(1e-17, -3e-17, 0) U^dag is rounding noise whose trace
+    # p0 is below zero, so no PSD check runs and no weight is relative to p0
+    rng = np.random.default_rng(5)
+    u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    noise = (u * [1e-17, -3e-17, 0.0]) @ u.conj().T
+    rest = np.diag([0.5, 0.3, 0.2]) - noise
+    rho = np.kron(np.diag([1.0, 0.0]), noise) + np.kron(np.diag([0.0, 1.0]), rest)
+    rho = DensityMatrix(Operator(rho, (2, 3)))
+    probe = ProbeSpec(np.array([1.0, 0.0]), 2, 3)
+    h = Operator(np.zeros((6, 6)), (2, 3))
+    system = condition(rho, h, 0.5, probe)
+    assert system.p0 < 0.0
+    assert system.weights.size > 0 and np.all(system.weights > 0.0)
+    assert np.all(np.diff(np.cumsum(system.weights)) >= 0.0)
+    summary = sample(system, ShotConfig(shots=300, seed=4, n_steps=2))
+    assert summary.frequency.tolist() == [0.0] * 3
