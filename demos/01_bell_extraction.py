@@ -42,14 +42,14 @@ trace = run_protocol(
 
 print("pure product start |right, up, down>")
 print(f"{'n':>3} {'fidelity to |Psi->':>20} {'success prob':>14}")
-for step in trace.steps:
-    print(f"{step.n:>3} {step.fidelity:>20.6f} {step.success_prob:>14.6f}")
+for n, (fid, prob) in enumerate(zip(trace.fidelity, trace.success_prob)):
+    print(f"{n:>3} {fid:>20.6f} {prob:>14.6f}")
 
 # The singlet weight of the initial state is 1/2, and that is exactly the
 # fraction of runs that survive all the probe confirmations: the protocol
 # converts initial overlap into yield.
-print(f"\nasymptotic yield  : {trace.steps[-1].success_prob:.6f}")
-print(f"initial overlap   : {trace.steps[0].fidelity:.6f}")
+print(f"\nasymptotic yield  : {trace.success_prob[-1]:.6f}")
+print(f"initial overlap   : {trace.fidelity[0]:.6f}")
 
 # The same works from a classical mixture of |up,down> and |down,up> --
 # the probe measurements cannot tell the two initial states apart, and
@@ -72,6 +72,6 @@ trace_mixed = run_protocol(
 )
 
 print("\nmixed start (|up,down><up,down| + |down,up><down,up|) / 2")
-print(f"fidelity at n = 5 : {trace_mixed.steps[5].fidelity:.6f}")
-print(f"fidelity at n = 10: {trace_mixed.steps[10].fidelity:.6f}")
-print(f"yield at n = 10   : {trace_mixed.steps[10].success_prob:.6f}")
+print(f"fidelity at n = 5 : {trace_mixed.fidelity[5]:.6f}")
+print(f"fidelity at n = 10: {trace_mixed.fidelity[10]:.6f}")
+print(f"yield at n = 10   : {trace_mixed.success_prob[10]:.6f}")

@@ -46,7 +46,7 @@ print(f"{cfg.shots} shots, seed {cfg.seed}")
 print(f"{'n':>3} {'survivors':>10} {'frequency':>10} {'exact P':>10} {'error':>9}")
 for n in range(11):
     freq = summary.frequency[n]
-    p = exact.steps[n].success_prob
+    p = exact.success_prob[n]
     print(
         f"{n:>3} {summary.successes_at_step[n]:>10d} "
         f"{freq:>10.5f} {p:>10.5f} {abs(freq - p):>9.5f}"

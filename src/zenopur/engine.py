@@ -30,6 +30,7 @@ eigendecomposition.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,6 +56,13 @@ def _check_psd(evals: np.ndarray) -> None:
     """Raise NotPositiveSemidefinite if an eigenvalue lies below -STATE_TOL."""
     if evals.min() < -STATE_TOL:
         raise NotPositiveSemidefinite(f"density matrix has negative eigenvalue {evals.min():.3e}")
+
+
+def _as_index(value, name: str) -> int:
+    """``value`` as an int: any integer, numpy's too, but no bool or float."""
+    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
+        return operator.index(value)
+    raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -415,6 +423,7 @@ def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) 
         If the initial probe outcome has vanishing probability, or the
         survival probability underflows ``SURVIVAL_FLOOR``.
     """
+    n_steps = _as_index(n_steps, "n_steps")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     d = system.v.dim

@@ -27,10 +27,10 @@ draws one uniform v and is alive at step n exactly when v < S_k(n), with
 S_k(0) = 1 and S_k(n) the running minimum of |V^n u_k|^2, which has the
 per-step law above; the running minimum only keeps S_k non-increasing
 under rounding.  The survivors of member k at every step are one
-``searchsorted`` of S_k into the sorted death uniforms of its shots.  A
-member's S_k and x_k are computed once, the first time it is drawn, from
-the V^n u_k of ``engine.Conditioned.orbit``, the fill ``engine.evolve``
-uses too; no (shots x steps) array is formed.
+``searchsorted`` of S_k into the sorted death uniforms of its shots.  The
+S_k and x_k of every kept member are computed once per run, before the
+first draw, from the V^n u_k of one ``engine.Conditioned.orbit`` call,
+the fill ``engine.evolve`` uses too; no (shots x steps) array is formed.
 
 All draws come from one Philox stream keyed by the seed.  Row i of a
 (shots, 2) array of uniforms belongs to shot i: column 0 picks the
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Conditioned, DensityMatrix, ProbeSpec, condition
+from .engine import Conditioned, DensityMatrix, ProbeSpec, _as_index, condition
 from .linalg import Operator
 from .linalg import matrix_exponential  # noqa: F401  traced by name in bench/worker.py
 
@@ -59,10 +59,12 @@ _BLOCK_UNIFORMS = 1 << 16  # uniforms per row block of two-uniform shots; bounds
 class ShotConfig:
     """Shot count, RNG seed and number of protocol steps.
 
-    The seed (64-bit unsigned) is the key of the one Philox stream all
-    shots draw from; shot i reads row i of it, two uniforms (its member
-    and its death uniform) whatever ``n_steps``, so the same config gives
-    the same records bit for bit.
+    Each is an integer (numpy's too) and is stored as a Python int; a bool
+    or a float, even an integral one, raises ValueError.  The seed (64-bit
+    unsigned) is the key of the one Philox stream all shots draw from; shot
+    i reads row i of it, two uniforms (its member and its death uniform)
+    whatever ``n_steps``, so the same config gives the same records bit for
+    bit.
     """
 
     shots: int
@@ -70,6 +72,8 @@ class ShotConfig:
     n_steps: int
 
     def __post_init__(self):
+        for name in ("shots", "seed", "n_steps"):
+            object.__setattr__(self, name, _as_index(getattr(self, name), name))
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -106,15 +110,14 @@ def _shot_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
     return np.random.Generator(bitgen).random((stop - start + odd, 2))[odd:]
 
 
-def _member_survival(
-    system: Conditioned, u: np.ndarray, n_steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Survival table and final states of the members in the columns of ``u``.
+def _member_survival(system: Conditioned, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Survival table and final states of the members ``system`` keeps.
 
-    S (columns x n_steps + 1) has S[j, 0] = 1 and S[j, n] the running minimum
+    S (members x n_steps + 1) has S[j, 0] = 1 and S[j, n] the running minimum
     of |V^n u_j|^2; the final states V^N u_j / |V^N u_j| (N = n_steps) are
     rows, and the zero vector, not 0/0, on a path that V annihilates.
     """
+    u = system.members
     table = np.empty((u.shape[1], n_steps + 1))
     for start, stack in system.orbit(u, n_steps):
         # |V^n u_j|^2 from the real and imaginary views: no complex temporary
@@ -135,40 +138,27 @@ def sample(system: Conditioned, cfg: ShotConfig) -> ShotSummary:
     measurements (the conditioning one at n = 0 included) all found the
     probe in |phi>_X, so ``frequency[n]`` estimates the exact P(n).
 
-    A drawn member's survival S_k and final state x_k come from
-    ``_member_survival`` (module docstring); the counts and the estimate
+    Every kept member's survival S_k and final state x_k come from one
+    ``_member_survival`` call (module docstring); the counts and the estimate
     are those of evolving every survivor on the same draws.
     """
     cum = np.cumsum(system.weights)
     r, n_steps = len(system.weights), cfg.n_steps
-
-    # Path rows of the survival table S and final states.  Row 0 is member
-    # index r, the failed n = 0 measurement a uniform >= sum_k lambda_k picks.
-    row_of = np.full(r + 1, -1)
-    row_of[r] = 0
-    table = np.zeros((1, n_steps + 1))
-    final = np.zeros((1, system.v.dim), dtype=complex)
-    counts = np.zeros(1, dtype=np.int64)  # shots alive at n_steps, per path
+    table, final = _member_survival(system, n_steps)
+    counts = np.zeros(r, dtype=np.int64)  # shots alive at n_steps, per member
     successes = np.zeros(n_steps + 1, dtype=np.int64)
     rows_per_block = max(1, _BLOCK_UNIFORMS // 2)
     for start in range(0, cfg.shots, rows_per_block):
         stop = min(start + rows_per_block, cfg.shots)
         draws = _shot_uniforms(cfg.seed, start, stop)
-        # column 0 picks member k with probability lambda_k
+        # column 0 picks member k with probability lambda_k; index r, which a
+        # uniform >= sum_k lambda_k picks, fails at n = 0 and is skipped
         k = np.searchsorted(cum, draws[:, 0], side="right")
-        new = np.flatnonzero((np.bincount(k, minlength=r + 1) > 0) & (row_of < 0))
-        if new.size:
-            row_of[new] = np.arange(len(table), len(table) + new.size)
-            s, x = _member_survival(system, system.members[:, new], n_steps)
-            table = np.vstack([table, s])
-            final = np.vstack([final, x])
-            counts = np.concatenate([counts, np.zeros(new.size, dtype=np.int64)])
-        rows = row_of[k]
-        # column 1 is the death uniform v: a shot on path j is alive at
-        # step n when v < S_j(n), so the sorted v of the path give every
+        # column 1 is the death uniform v: a shot of member j is alive at
+        # step n when v < S_j(n), so the sorted v of the member give every
         # step's survivors with one search
-        for j in np.flatnonzero(np.bincount(rows)):
-            alive = np.searchsorted(np.sort(draws[rows == j, 1]), table[j])
+        for j in np.flatnonzero(np.bincount(k, minlength=r)[:r]):
+            alive = np.searchsorted(np.sort(draws[k == j, 1]), table[j])
             successes += alive
             counts[j] += alive[-1]
 

@@ -325,6 +325,15 @@ def test_run_protocol_success_probability_convention_and_monotonicity():
     assert np.all(np.diff(probs) <= 1e-12)
 
 
+@pytest.mark.parametrize("n_steps", [True, 3.0, 2.5, "3"])
+def test_run_protocol_takes_only_integer_steps(n_steps):
+    p, h, probe = reference_setup()
+    rho = DensityMatrix.pure(np.kron(RIGHT, UP_DOWN), (2, 2, 2))
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        run_protocol(rho, h, p.tau, probe, n_steps)
+    assert len(run_protocol(rho, h, p.tau, probe, np.int64(3)).success_prob) == 4
+
+
 def test_run_protocol_states_stay_physical():
     from zenopur.model3q import bell_basis
 
@@ -729,7 +738,7 @@ def check_one_ensemble(rho, h, tau, probe):
     step n with S_k(n), give evolve's P(n) = sum_k lambda_k S_k(n)."""
     system = condition(rho, h, tau, probe)
     assert np.all(system.weights > 0.0)
-    table, _ = trajectories._member_survival(system, system.members, 8)
+    table, _ = trajectories._member_survival(system, 8)
     probs = evolve(system, 8).success_prob
     np.testing.assert_allclose(system.weights @ table, probs, rtol=1e-12, atol=0)
 

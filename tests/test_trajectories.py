@@ -118,6 +118,22 @@ def test_shot_config_validation():
     ShotConfig(shots=1, seed=2**64 - 1, n_steps=0)
 
 
+@pytest.mark.parametrize("field", ["shots", "seed", "n_steps"])
+@pytest.mark.parametrize("value", [True, 1.0, 2.5, "3"])
+def test_shot_config_takes_only_integers(field, value):
+    # a float seed 1.5 used to run as seed 1, a bool as 1
+    fields = dict(shots=10, seed=1, n_steps=3)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ShotConfig(**fields)
+
+
+def test_shot_config_stores_numpy_integers_as_ints():
+    cfg = ShotConfig(shots=np.int32(10), seed=np.uint64(2**64 - 1), n_steps=np.int64(3))
+    assert cfg == ShotConfig(shots=10, seed=2**64 - 1, n_steps=3)
+    assert {type(cfg.shots), type(cfg.seed), type(cfg.n_steps)} == {int}
+
+
 def test_undisturbed_probe_always_survives():
     # H = 0 and the probe factor prepared exactly in |phi>_X
     phi = np.array([0.6, 0.8], dtype=complex)
@@ -393,7 +409,8 @@ def test_sampler_survival_is_the_protocol_probability():
     p, h, probe, rho = reference_inputs()
     system = condition(rho, h, p.tau, probe)
     assert np.count_nonzero(system.weights > 1e-12) == 1
-    table, _ = trajectories._member_survival(system, system.members[:, -1:], 3000)
+    one = replace(system, weights=system.weights[-1:], members=system.members[:, -1:])
+    table, _ = trajectories._member_survival(one, 3000)
     probs = evolve(system, 3000).success_prob
     assert probs[-1] > 0.1
     np.testing.assert_allclose(table[0], probs / system.p0, rtol=1e-13, atol=0.0)
@@ -430,8 +447,8 @@ def test_exactly_annihilated_path_stays_zero():
     # V = |1><1| exactly: s = 0 on the |0> path, which must not become 0/0
     h, probe, rho, tau = annihilating_inputs(np.eye(2, dtype=complex) / 2.0)
     exact_v = Operator(np.diag([0.0, 1.0]), (2,))
-    system = replace(condition(rho, h, tau, probe), v=exact_v)
-    s, x = trajectories._member_survival(system, np.eye(2, dtype=complex), 3)
+    system = replace(condition(rho, h, tau, probe), v=exact_v, members=np.eye(2, dtype=complex))
+    s, x = trajectories._member_survival(system, 3)
     assert np.array_equal(s, [[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
     assert np.array_equal(x, np.diag([0.0, 1.0]))
     summary = sample(system, ShotConfig(shots=400, seed=8, n_steps=2))
@@ -446,6 +463,30 @@ def test_no_survivor_gives_no_estimate():
     summary = run_shots(rho, h, tau, probe, ShotConfig(shots=300, seed=6, n_steps=3))
     assert summary.successes_at_step.tolist() == [300, 0, 0, 0]
     assert summary.final_state_estimate is None
+
+
+def test_every_member_path_is_built_once_before_the_first_draw(monkeypatch):
+    # one shot per row block, so the paper's two members are first drawn in
+    # different blocks; still one orbit builds both paths
+    h, probe, rho, tau = paper_mixed_inputs()
+    system = condition(rho, h, tau, probe)
+    cfg = ShotConfig(shots=50, seed=11, n_steps=4)
+    first = _shot_uniforms(cfg.seed, 0, 2)[:, 0]
+    k = np.searchsorted(np.cumsum(system.weights), first, side="right")
+    assert len(system.weights) == 2 and sorted(k) == [0, 1]
+    reference = sample(system, cfg)
+    factors = []
+    orbit = engine.Conditioned.orbit
+
+    def counted(self, w, n_steps):
+        factors.append(w.shape)
+        return orbit(self, w, n_steps)
+
+    monkeypatch.setattr(engine.Conditioned, "orbit", counted)
+    set_block_rows(monkeypatch, 1)
+    summary = sample(system, cfg)
+    assert factors == [(4, 2)]
+    assert np.array_equal(summary.successes_at_step, reference.successes_at_step)
 
 
 def test_sample_on_a_conditioned_system_is_run_shots():
