@@ -37,7 +37,10 @@ with np.printoptions(precision=3, suppress=True):
 report = spectral_report(v)
 print("\neigenvalues, largest magnitude first:")
 for k, lam in enumerate(report.eigensystem.eigenvalues):
-    print(f"  lambda_{k} = {lam.real:+.6f} {lam.imag:+.6f}j   |lambda| = {abs(lam):.6f}")
+    # rounded to the printed digits, and -0.0 + 0.0 = +0.0: an exactly real
+    # eigenvalue prints +0.000000j whatever the sign of its rounding noise
+    re, im = (round(x, 6) + 0.0 for x in (lam.real, lam.imag))
+    print(f"  lambda_{k} = {re:+.6f} {im:+.6f}j   |lambda| = {abs(lam):.6f}")
 
 unit, gap = efficiency_check(report)
 print(f"\ndominant on unit circle: {unit}")

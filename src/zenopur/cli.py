@@ -36,6 +36,7 @@ import numpy as np
 from .engine import (
     DensityMatrix,
     ProbeSpec,
+    _checked_target,
     condition,
     evolve,
     projected_evolution,
@@ -43,7 +44,7 @@ from .engine import (
     spectral_report,
 )
 from .exceptions import ZenopurError
-from .linalg import Operator
+from .linalg import Operator, _as_index
 from .model3q import (
     DOWN,
     INV_SQRT2,
@@ -131,10 +132,17 @@ def _as_real(value, path) -> float:
     return _as_array(value, path, ()).real.item()
 
 
+def _checked(path, build, *args):
+    """``build(*args)``; the ValueError or ZenopurError of a library check is a
+    config error at ``path``."""
+    try:
+        return build(*args)
+    except (ValueError, ZenopurError) as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def _as_int(value, path) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, "expected an integer")
-    return value
+    return _checked(path, _as_index, value, path.rpartition(".")[2])
 
 
 def _as_array(value, path, shape) -> np.ndarray:
@@ -182,17 +190,12 @@ def _load_system(root):
 
     # omega and g come before tau: a config missing omega and tau reports omega
     if kind == "model3q":
-        if units == "omega":
-            omega = _as_real(
-                _get(system, "omega", "system", required=False, default=1.0),
-                "system.omega",
-            )
-            if omega != 1.0:
-                raise ConfigError(
-                    "system.omega", "must be 1 (or omitted) when units = 'omega'"
-                )
-        else:
-            omega = _as_real(_get(system, "omega", "system"), "system.omega")
+        in_omega = units == "omega"
+        omega = _as_real(
+            _get(system, "omega", "system", required=not in_omega, default=1.0), "system.omega"
+        )
+        if in_omega and omega != 1.0:
+            raise ConfigError("system.omega", "must be 1 (or omitted) when units = 'omega'")
         g = _as_real(_get(system, "g", "system"), "system.g")
     elif units == "omega":
         raise ConfigError("units", "'omega' applies only to model3q systems")
@@ -209,10 +212,7 @@ def _load_system(root):
             ).item()
             for key in ("alpha", "beta")
         )
-        try:
-            params = ModelParams(omega=omega, g=g, tau=tau, alpha=alpha, beta=beta)
-        except ValueError as exc:
-            raise ConfigError("system.alpha", str(exc)) from None
+        params = _checked("system.alpha", ModelParams, omega, g, tau, alpha, beta)
         return "model3q", params, build_hamiltonian(params), tau, probe_spec(params)
 
     dim_x = _as_int(_get(system, "dim_x", "system"), "system.dim_x")
@@ -221,15 +221,9 @@ def _load_system(root):
         raise ConfigError("system.dim_x", "dimensions must be positive")
     dim = dim_x * dim_a
     h = _as_array(_get(system, "hamiltonian", "system"), "system.hamiltonian", (dim, dim))
-    try:
-        h_tot = Operator(h, (dim_x, dim_a))
-    except ValueError as exc:
-        raise ConfigError("system.hamiltonian", str(exc)) from None
+    h_tot = _checked("system.hamiltonian", Operator, h, (dim_x, dim_a))
     phi = _as_array(_get(system, "probe", "system"), "system.probe", (dim_x,))
-    try:
-        probe = ProbeSpec(phi, dim_x, dim_a)
-    except (ValueError, ZenopurError) as exc:
-        raise ConfigError("system.probe", str(exc)) from None
+    probe = _checked("system.probe", ProbeSpec, phi, dim_x, dim_a)
     return "custom", None, h_tot, tau, probe
 
 
@@ -238,11 +232,8 @@ def _load_initial_state(root, probe):
     if isinstance(value, str):
         return _preset_state(value, probe, "initial_state")
     matrix = _as_array(value, "initial_state", (probe.dim_total,) * 2)
-    factors = (probe.dim_x, probe.dim_a)
-    try:
-        return DensityMatrix(Operator(matrix, factors))
-    except ValueError as exc:
-        raise ConfigError("initial_state", str(exc)) from None
+    op = _checked("initial_state", Operator, matrix, (probe.dim_x, probe.dim_a))
+    return _checked("initial_state", DensityMatrix, op)
 
 
 def _load_target(root, kind, probe):
@@ -257,10 +248,7 @@ def _load_target(root, kind, probe):
             raise ConfigError("target", "preset 'psi-minus' needs a 4-dim target space")
         return bell_basis().psi_minus
     vec = _as_array(value, "target", (probe.dim_a,))
-    norm = np.linalg.norm(vec)
-    if not abs(norm - 1.0) <= 1e-8:  # a NaN norm fails too
-        raise ConfigError("target", f"vector norm {norm!r} is not 1")
-    return vec
+    return _checked("target", _checked_target, vec, probe.dim_a)
 
 
 def _load_sweep(root, kind):
@@ -294,10 +282,7 @@ def _load_shot_config(root, n_steps, args):
         shots = args.shots
     if getattr(args, "seed", None) is not None:
         seed = args.seed
-    try:
-        return ShotConfig(shots=shots, seed=seed, n_steps=n_steps)
-    except ValueError as exc:
-        raise ConfigError("shots", str(exc)) from None
+    return _checked("shots", ShotConfig, shots, seed, n_steps)
 
 
 def load_config(path: str, command: str, args) -> RunConfig:

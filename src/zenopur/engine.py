@@ -30,7 +30,7 @@ eigendecomposition.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,14 +42,16 @@ from .exceptions import (
     NotPositiveSemidefinite,
     ZeroProbability,
 )
-from .linalg import Eigensystem, Operator, eig_general
+from .linalg import Eigensystem, Operator, _as_index, eig_general
 from .linalg import matrix_exponential  # noqa: F401  traced by name in bench/worker.py
 
 P0_FLOOR = 1e-14
 SURVIVAL_FLOOR = 1e-300
 DOMINANCE_TOL = 1e-9
 STATE_TOL = 1e-10
-_STATE_BLOCK_ELEMENTS = 1 << 15  # bounds each orbit stack (evolve's and the sampler's) and states
+# B = max(1, this // d^2) steps per orbit stack (B, d, r); at d^2 > 2^15, B = 1 and
+# the orbit is the plain loop, without doubling
+_STATE_BLOCK_ELEMENTS = 1 << 15
 
 
 def _check_psd(evals: np.ndarray) -> None:
@@ -58,19 +60,13 @@ def _check_psd(evals: np.ndarray) -> None:
         raise NotPositiveSemidefinite(f"density matrix has negative eigenvalue {evals.min():.3e}")
 
 
-def _as_index(value, name: str) -> int:
-    """``value`` as an int: any integer, numpy's too, but no bool or float."""
-    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
-        return operator.index(value)
-    raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
-
-
 @dataclass(frozen=True)
 class ProbeSpec:
     """Probe state and the dimension split of the total space.
 
     ``phi_x`` is the pure probe state on the X factor (unit norm within
-    1e-12), ``dim_x`` and ``dim_a`` the probe and target dimensions.
+    1e-12), ``dim_x`` and ``dim_a`` the probe and target dimensions,
+    positive integers (numpy's too, stored as ints; no bool or float).
     """
 
     phi_x: np.ndarray
@@ -79,6 +75,8 @@ class ProbeSpec:
 
     def __post_init__(self):
         phi = np.array(self.phi_x, dtype=complex).reshape(-1)
+        for name in ("dim_x", "dim_a"):
+            object.__setattr__(self, name, _as_index(getattr(self, name), name))
         if self.dim_x < 1 or self.dim_a < 1:
             raise ValueError("dimensions must be positive")
         if phi.shape[0] != self.dim_x:
@@ -180,21 +178,20 @@ class ProtocolTrace:
     ``success_prob[n]`` is P(n), ``fidelity[n]`` the fidelity to the
     target (``fidelity`` is None when no target was supplied) and
     ``states[n]`` the (dim_a x dim_a) conditional state; all three arrays
-    are read-only.  ``factors`` is the target's factor signature.
-    ``steps`` builds one ``ProtocolStep`` per row on first read.
+    are read-only.  ``steps`` builds one ``ProtocolStep`` per row on first
+    read.
     """
 
     success_prob: np.ndarray
     fidelity: np.ndarray | None
     states: np.ndarray
-    factors: tuple[int, ...]
 
     @cached_property
     def steps(self) -> tuple[ProtocolStep, ...]:
         probs = self.success_prob.tolist()
         fids = [None] * len(probs) if self.fidelity is None else self.fidelity.tolist()
         return tuple(
-            ProtocolStep(n=n, state=Operator(m, self.factors), success_prob=p, fidelity=f)
+            ProtocolStep(n=n, state=Operator(m), success_prob=p, fidelity=f)
             for n, (m, p, f) in enumerate(zip(self.states, probs, fids))
         )
 
@@ -208,26 +205,13 @@ class ProtocolTrace:
         return self.fidelity
 
 
-def _target_factors(factors: tuple[int, ...], dim_x: int, dim_a: int) -> tuple[int, ...]:
-    """Factor signature for the A space, reusing the tail of the total split."""
-    prefix = 1
-    idx = 0
-    while idx < len(factors) and prefix < dim_x:
-        prefix *= factors[idx]
-        idx += 1
-    rest = factors[idx:]
-    if prefix == dim_x and math.prod(rest) == dim_a and rest:
-        return rest
-    return (dim_a,)
-
-
 def projected_evolution(h_tot: Operator, tau: float, probe: ProbeSpec) -> Operator:
     """Projected evolution operator V = <phi|_X exp(-i H tau) |phi>_X.
 
     V acts on the target space A alone and is a contraction: every
     singular value is at most 1, so eigenvalue magnitudes never exceed 1.
-    This is the one place V is built; its ``factors`` are the tail of
-    ``h_tot.factors`` that spans A, or ``(dim_a,)`` when none does.
+    This is the one place V is built; ``tau`` must be a finite,
+    nonnegative real, not a bool.
 
     With ``H = Q diag(w) Q^dag`` from the cached ``h_tot.hermitian_spectrum``
     and the probe rows ``Q_phi = <phi|_X Q`` (dim_a x dim_total),
@@ -239,11 +223,13 @@ def projected_evolution(h_tot: Operator, tau: float, probe: ProbeSpec) -> Operat
 
     Raises
     ------
+    ValueError
+        If ``tau`` is not a real number, or is a bool, negative, infinite or NaN.
     NonHermitianInput
         If ``h_tot`` is not Hermitian within ``linalg.HERMITICITY_TOL``.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if isinstance(tau, bool) or not isinstance(tau, numbers.Real) or not 0 <= tau < math.inf:
+        raise ValueError(f"tau must be nonnegative, finite and real (no bool), not {tau!r}")
     if h_tot.dim != probe.dim_total:
         raise DimensionMismatch(
             f"Hamiltonian dimension {h_tot.dim} does not match probe split "
@@ -252,7 +238,7 @@ def projected_evolution(h_tot: Operator, tau: float, probe: ProbeSpec) -> Operat
     w, q = h_tot.hermitian_spectrum
     q_phi = np.einsum("i,iak->ak", probe.phi_x.conj(), q.reshape(probe.dim_x, probe.dim_a, -1))
     v = (q_phi * np.exp(-1j * w * float(tau))) @ q_phi.conj().T
-    return Operator(v, _target_factors(h_tot.factors, probe.dim_x, probe.dim_a))
+    return Operator(v)
 
 
 def probe_block(rho_tot: DensityMatrix, probe: ProbeSpec) -> np.ndarray:
@@ -367,8 +353,7 @@ def condition_on_probe(
     p0 = float(np.trace(block).real)
     if p0 < P0_FLOOR:
         raise ZeroProbability(f"probe outcome probability {p0:.3e} vanishes")
-    factors = _target_factors(rho_tot.op.factors, probe.dim_x, probe.dim_a)
-    return DensityMatrix(Operator(block / p0, factors)), p0
+    return DensityMatrix(Operator(block / p0)), p0
 
 
 def _checked_target(target: np.ndarray, dim: int) -> np.ndarray:
@@ -458,7 +443,7 @@ def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) 
     for col in (probs, fids, states):
         if col is not None:
             col.setflags(write=False)
-    return ProtocolTrace(probs, fids, states, system.v.factors)
+    return ProtocolTrace(probs, fids, states)
 
 
 def run_protocol(

@@ -16,6 +16,7 @@ stale, because the entries are copied and made read-only at construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +28,13 @@ HERMITICITY_TOL = 1e-10
 CONDITION_LIMIT = 1e8
 
 
+def _as_index(value, name: str) -> int:
+    """``value`` as an int: any integer, numpy's too, but no bool or float."""
+    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
+        return operator.index(value)
+    raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class Operator:
     """Square complex matrix on a tensor product of subsystems.
@@ -36,8 +44,8 @@ class Operator:
     entries : array_like
         Square complex matrix.  Copied and frozen at construction.
     factors : tuple of int, optional
-        Subsystem dimensions in tensor order.  Their product must equal
-        the matrix dimension.  Defaults to the single factor ``(dim,)``.
+        Subsystem dimensions in tensor order, no bool or float.  Their product
+        must equal the matrix dimension.  Defaults to the single factor ``(dim,)``.
 
     ``hermitian_spectrum`` is computed on first access and kept; the
     entries are a read-only copy, so it always describes them.
@@ -56,7 +64,7 @@ class Operator:
         factors = self.factors
         if factors is None:
             factors = (dim,)
-        factors = tuple(int(f) for f in factors)
+        factors = tuple(_as_index(f, "factors") for f in factors)
         if any(f < 1 for f in factors) or math.prod(factors) != dim:
             raise ValueError(
                 f"factors {factors} do not multiply to dimension {dim}"

@@ -48,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Conditioned, DensityMatrix, ProbeSpec, _as_index, condition
-from .linalg import Operator
+from .engine import Conditioned, DensityMatrix, ProbeSpec, condition
+from .linalg import Operator, _as_index
 from .linalg import matrix_exponential  # noqa: F401  traced by name in bench/worker.py
 
 _BLOCK_UNIFORMS = 1 << 16  # uniforms per row block of two-uniform shots; bounds the draws
@@ -167,7 +167,7 @@ def sample(system: Conditioned, cfg: ShotConfig) -> ShotSummary:
     if successes[n_steps] > 0:
         mean = (final.T * counts) @ final.conj() / successes[n_steps]
         mean = (mean + mean.conj().T) / 2.0
-        estimate = Operator(mean, system.v.factors)
+        estimate = Operator(mean)
     successes.setflags(write=False)
     frequency.setflags(write=False)
     return ShotSummary(successes, frequency, estimate)

@@ -653,6 +653,31 @@ def test_malformed_number_is_config_error(tmp_path, capsys, field, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", [2.0, True, "2"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize(
+    "field, command",
+    [
+        ("system.dim_x", "run"),
+        ("system.dim_a", "run"),
+        ("n_steps", "run"),
+        ("sweep.count", "sweep"),
+        ("shots.shots", "shots"),
+        ("shots.seed", "shots"),
+    ],
+)
+def test_non_integer_count_is_config_error(tmp_path, capsys, field, command, value):
+    payload = custom_config() if field.startswith("system.") else model_config()
+    payload["sweep"] = {"axis": "g", "start": 0.1, "stop": 0.4, "count": 3}
+    payload["shots"] = {"shots": 100, "seed": 1}
+    section, _, key = field.rpartition(".")
+    (payload[section] if section else payload)[key] = value
+    cfg = write_config(tmp_path, "bad.json", payload)
+    code, out, err = run_cli(capsys, [command, "--config", cfg])
+    assert code == 1 and out == ""
+    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_one(capsys):
     code, _, err = run_cli(capsys, ["run"])
     assert code == 1

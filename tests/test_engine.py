@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -135,6 +137,22 @@ def test_probe_spec_validation():
     assert probe.dim_total == 8
 
 
+@pytest.mark.parametrize(
+    "phi, dim_x, dim_a",
+    [(RIGHT, 2.0, 2), (RIGHT, 2, 4.0), ([1.0], True, 4), ([1.0], 1, True), (RIGHT, "2", 4)],
+)
+def test_probe_spec_dimensions_take_only_integers(phi, dim_x, dim_a):
+    # 2.0 used to fail later inside projected_evolution, and True to run as 1
+    with pytest.raises(ValueError, match="dim_[xa] must be an integer"):
+        ProbeSpec(phi, dim_x, dim_a)
+
+
+def test_probe_spec_stores_numpy_integer_dimensions_as_ints():
+    probe = ProbeSpec(RIGHT, np.int64(2), np.int32(4))
+    assert (probe.dim_x, probe.dim_a) == (2, 4)
+    assert {type(probe.dim_x), type(probe.dim_a)} == {int}
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix(Operator(np.array([[0.5, 0.5], [-0.5, 0.5]], dtype=complex)))
@@ -186,12 +204,6 @@ def test_projected_evolution_matches_full_space_sandwich():
     np.testing.assert_allclose(v.entries, full, atol=1e-12)
 
 
-def test_projected_evolution_keeps_subfactors():
-    probe = ProbeSpec(RIGHT, 2, 4)
-    h = Operator(np.zeros((8, 8), dtype=complex), (2, 2, 2))
-    assert projected_evolution(h, 1.0, probe).factors == (2, 2)
-
-
 def test_projected_evolution_errors():
     probe = ProbeSpec(RIGHT, 2, 4)
     with pytest.raises(DimensionMismatch):
@@ -202,6 +214,18 @@ def test_projected_evolution_errors():
         projected_evolution(Operator(h, (2, 4)), 1.0, probe)
     with pytest.raises(ValueError):
         projected_evolution(Operator(np.zeros((8, 8), dtype=complex), (2, 4)), -1.0, probe)
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, True, np.True_, "1.0", 1j])
+def test_projected_evolution_checks_tau_up_front(tau):
+    # nan and inf used to warn from np.exp and then fail on "entries must be
+    # finite"; True ran as tau = 1
+    probe = ProbeSpec(RIGHT, 2, 4)
+    h = Operator(np.zeros((8, 8), dtype=complex), (2, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="tau must be"):
+            projected_evolution(h, tau, probe)
 
 
 def test_non_hermitian_hamiltonian_rejected_on_every_call():
@@ -769,4 +793,3 @@ def test_evolve_on_a_conditioned_system_is_run_protocol(inputs, data):
     reference = run_protocol(rho, h, tau, probe, 8, target=target)
     for col in ("success_prob", "fidelity", "states"):
         assert np.array_equal(getattr(trace, col), getattr(reference, col))
-    assert trace.factors == reference.factors

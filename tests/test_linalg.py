@@ -59,6 +59,21 @@ def test_operator_validation():
     assert op.factors == (2, 3)
 
 
+@pytest.mark.parametrize(
+    "dim, factors", [(4, (2.7, 2)), (4, (2.0, 2)), (2, (True, 2)), (4, ("2", 2))]
+)
+def test_operator_factors_take_only_integers(dim, factors):
+    # (2.7, 2) used to become (2, 2), and True to run as 1
+    with pytest.raises(ValueError, match="factors must be an integer"):
+        Operator(np.eye(dim), factors)
+
+
+def test_operator_stores_numpy_integer_factors_as_ints():
+    op = Operator(np.eye(6), (np.int32(2), np.int64(3)))
+    assert op.factors == (2, 3)
+    assert {type(f) for f in op.factors} == {int}
+
+
 def test_operator_default_factors_and_immutability():
     op = Operator(np.eye(3))
     assert op.factors == (3,)
