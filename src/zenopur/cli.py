@@ -36,7 +36,6 @@ import numpy as np
 from .engine import (
     DensityMatrix,
     ProbeSpec,
-    _checked_target,
     condition,
     evolve,
     projected_evolution,
@@ -44,7 +43,7 @@ from .engine import (
     spectral_report,
 )
 from .exceptions import ZenopurError
-from .linalg import Operator, _as_index
+from .linalg import Operator, _as_index, _as_real, _as_unit_vector
 from .model3q import (
     DOWN,
     INV_SQRT2,
@@ -126,12 +125,6 @@ def _get(mapping, key, path, required=True, default=None):
     return mapping[key]
 
 
-def _as_real(value, path) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, "expected a real number")
-    return _as_array(value, path, ()).real.item()
-
-
 def _checked(path, build, *args):
     """``build(*args)``; the ValueError or ZenopurError of a library check is a
     config error at ``path``."""
@@ -143,6 +136,10 @@ def _checked(path, build, *args):
 
 def _as_int(value, path) -> int:
     return _checked(path, _as_index, value, path.rpartition(".")[2])
+
+
+def _as_float(value, path) -> float:
+    return _checked(path, _as_real, value, path.rpartition(".")[2])
 
 
 def _as_array(value, path, shape) -> np.ndarray:
@@ -180,6 +177,7 @@ def _preset_state(name: str, probe: ProbeSpec, path: str) -> DensityMatrix:
 
 
 def _load_system(root):
+    """``(params, h_tot, tau, probe)``; ``params`` is None for a custom system."""
     system = _get(root, "system", "")
     kind = _get(system, "kind", "system")
     if kind not in ("model3q", "custom"):
@@ -191,15 +189,15 @@ def _load_system(root):
     # omega and g come before tau: a config missing omega and tau reports omega
     if kind == "model3q":
         in_omega = units == "omega"
-        omega = _as_real(
+        omega = _as_float(
             _get(system, "omega", "system", required=not in_omega, default=1.0), "system.omega"
         )
         if in_omega and omega != 1.0:
             raise ConfigError("system.omega", "must be 1 (or omitted) when units = 'omega'")
-        g = _as_real(_get(system, "g", "system"), "system.g")
+        g = _as_float(_get(system, "g", "system"), "system.g")
     elif units == "omega":
         raise ConfigError("units", "'omega' applies only to model3q systems")
-    tau = _as_real(_get(system, "tau", "system"), "system.tau")
+    tau = _as_float(_get(system, "tau", "system"), "system.tau")
     if tau < 0:
         raise ConfigError("system.tau", "must be nonnegative")
 
@@ -213,7 +211,7 @@ def _load_system(root):
             for key in ("alpha", "beta")
         )
         params = _checked("system.alpha", ModelParams, omega, g, tau, alpha, beta)
-        return "model3q", params, build_hamiltonian(params), tau, probe_spec(params)
+        return params, build_hamiltonian(params), tau, probe_spec(params)
 
     dim_x = _as_int(_get(system, "dim_x", "system"), "system.dim_x")
     dim_a = _as_int(_get(system, "dim_a", "system"), "system.dim_a")
@@ -224,7 +222,7 @@ def _load_system(root):
     h_tot = _checked("system.hamiltonian", Operator, h, (dim_x, dim_a))
     phi = _as_array(_get(system, "probe", "system"), "system.probe", (dim_x,))
     probe = _checked("system.probe", ProbeSpec, phi, dim_x, dim_a)
-    return "custom", None, h_tot, tau, probe
+    return None, h_tot, tau, probe
 
 
 def _load_initial_state(root, probe):
@@ -236,11 +234,11 @@ def _load_initial_state(root, probe):
     return _checked("initial_state", DensityMatrix, op)
 
 
-def _load_target(root, kind, probe):
+def _load_target(root, params, probe):
     value = _get(root, "target", "", required=False)
     if value is None:
         # the singlet is the model's target; a custom basis has no default
-        return bell_basis().psi_minus if kind == "model3q" else None
+        return None if params is None else bell_basis().psi_minus
     if isinstance(value, str):
         if value != "psi-minus":
             raise ConfigError("target", f"unknown preset '{value}'")
@@ -248,18 +246,18 @@ def _load_target(root, kind, probe):
             raise ConfigError("target", "preset 'psi-minus' needs a 4-dim target space")
         return bell_basis().psi_minus
     vec = _as_array(value, "target", (probe.dim_a,))
-    return _checked("target", _checked_target, vec, probe.dim_a)
+    return _checked("target", _as_unit_vector, vec, probe.dim_a, 1e-8, "target")
 
 
-def _load_sweep(root, kind):
+def _load_sweep(root, params):
     section = _get(root, "sweep", "")
     axis = _get(section, "axis", "sweep")
     if axis not in ("tau", "g", "alpha-angle"):
         raise ConfigError("sweep.axis", "expected 'tau', 'g' or 'alpha-angle'")
-    if kind != "model3q":
+    if params is None:
         raise ConfigError("sweep.axis", "sweeps need a model3q system")
-    start = _as_real(_get(section, "start", "sweep"), "sweep.start")
-    stop = _as_real(_get(section, "stop", "sweep"), "sweep.stop")
+    start = _as_float(_get(section, "start", "sweep"), "sweep.start")
+    stop = _as_float(_get(section, "stop", "sweep"), "sweep.stop")
     count = _as_int(_get(section, "count", "sweep"), "sweep.count")
     if count < 2:
         raise ConfigError("sweep.count", "must be at least 2")
@@ -301,7 +299,7 @@ def load_config(path: str, command: str, args) -> RunConfig:
     if not isinstance(root, dict):
         raise ConfigError("config", "top level must be an object")
 
-    kind, params, h_tot, tau, probe = _load_system(root)
+    params, h_tot, tau, probe = _load_system(root)
     cfg = RunConfig(params=params, h_tot=h_tot, tau=tau, probe=probe)
 
     if command in ("run", "shots"):
@@ -312,7 +310,7 @@ def load_config(path: str, command: str, args) -> RunConfig:
             cfg.n_steps = args.steps
         if cfg.n_steps < 0:
             raise ConfigError("n_steps", "must be nonnegative")
-        cfg.target = _load_target(root, kind, probe)
+        cfg.target = _load_target(root, params, probe)
 
     out_section = _get(root, "output", "", required=False, default={})
     cfg.out_path = _get(out_section, "path", "output", required=False)
@@ -322,7 +320,7 @@ def load_config(path: str, command: str, args) -> RunConfig:
         cfg.out_path = args.out
 
     if command == "sweep":
-        cfg.sweep = _load_sweep(root, kind)
+        cfg.sweep = _load_sweep(root, params)
     if command == "shots":
         cfg.shot_cfg = _load_shot_config(root, cfg.n_steps, args)
     return cfg
@@ -374,8 +372,9 @@ def _sweep_params(base: ModelParams, axis: str, value: float) -> ModelParams:
 def cmd_sweep(cfg: RunConfig) -> str:
     """Sweep one model parameter; CSV of singlet magnitude, gap, fidelity.
 
-    H and the probe do not depend on tau, so a tau sweep reuses the
-    config's and diagonalizes H once for all points.
+    H depends only on omega and g, the probe only on alpha and beta, so
+    only a g sweep rebuilds H (and diagonalizes it at every point) and
+    only an alpha-angle sweep rebuilds the probe; the rest is the config's.
     """
     spec = cfg.sweep
     values = np.sort(np.linspace(spec.start, spec.stop, spec.count))
@@ -384,8 +383,8 @@ def cmd_sweep(cfg: RunConfig) -> str:
     lines = [SWEEP_HEADER]
     for value in values:
         params = _sweep_params(cfg.params, spec.axis, float(value))
-        if spec.axis != "tau":
-            h_tot, probe = build_hamiltonian(params), probe_spec(params)
+        h_tot = build_hamiltonian(params) if spec.axis == "g" else h_tot
+        probe = probe_spec(params) if spec.axis == "alpha-angle" else probe
         v = projected_evolution(h_tot, params.tau, probe)
         report = spectral_report(v)
         u0 = report.asymptotic_state

@@ -30,7 +30,6 @@ eigendecomposition.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,7 +41,8 @@ from .exceptions import (
     NotPositiveSemidefinite,
     ZeroProbability,
 )
-from .linalg import Eigensystem, Operator, _as_index, eig_general
+from .linalg import Eigensystem, Operator, eig_general
+from .linalg import _as_index, _as_real, _as_unit_vector, _hermitian_part
 from .linalg import matrix_exponential  # noqa: F401  traced by name in bench/worker.py
 
 P0_FLOOR = 1e-14
@@ -64,9 +64,9 @@ def _check_psd(evals: np.ndarray) -> None:
 class ProbeSpec:
     """Probe state and the dimension split of the total space.
 
-    ``phi_x`` is the pure probe state on the X factor (unit norm within
-    1e-12), ``dim_x`` and ``dim_a`` the probe and target dimensions,
-    positive integers (numpy's too, stored as ints; no bool or float).
+    ``phi_x`` is the probe state on X, of shape ``(dim_x,)`` and unit norm
+    within 1e-12; the dimensions ``dim_x`` and ``dim_a`` are positive
+    integers (numpy's too, stored as ints; no bool or float).
     """
 
     phi_x: np.ndarray
@@ -74,18 +74,11 @@ class ProbeSpec:
     dim_a: int
 
     def __post_init__(self):
-        phi = np.array(self.phi_x, dtype=complex).reshape(-1)
         for name in ("dim_x", "dim_a"):
             object.__setattr__(self, name, _as_index(getattr(self, name), name))
         if self.dim_x < 1 or self.dim_a < 1:
             raise ValueError("dimensions must be positive")
-        if phi.shape[0] != self.dim_x:
-            raise DimensionMismatch(
-                f"probe vector has length {phi.shape[0]}, expected {self.dim_x}"
-            )
-        norm = np.linalg.norm(phi)
-        if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
-            raise ValueError(f"probe state norm {norm!r} is not 1")
+        phi = _as_unit_vector(self.phi_x, self.dim_x, 1e-12, "probe state")
         phi.setflags(write=False)
         object.__setattr__(self, "phi_x", phi)
 
@@ -98,28 +91,27 @@ class ProbeSpec:
 class DensityMatrix:
     """Validated density matrix wrapper.
 
-    Construction checks Hermiticity, positive semidefiniteness and unit
-    trace, all within ``STATE_TOL``.
+    Construction checks Hermiticity (``linalg._hermitian_part``), then
+    positive semidefiniteness and unit trace within ``STATE_TOL``.
     """
 
     op: Operator
 
     def __post_init__(self):
         m = self.op.entries
-        if np.max(np.abs(m - m.conj().T)) > STATE_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        _check_psd(np.linalg.eigvalsh((m + m.conj().T) / 2.0))
+        _check_psd(np.linalg.eigvalsh(_hermitian_part(m, "density matrix")))
         if abs(np.trace(m).real - 1.0) > STATE_TOL:
             raise ValueError(f"density matrix trace {np.trace(m)!r} is not 1")
 
     @classmethod
     def pure(cls, vec: np.ndarray, factors: tuple[int, ...] = None) -> "DensityMatrix":
-        """Density matrix |vec><vec| of a normalized pure state."""
-        v = np.asarray(vec, dtype=complex).reshape(-1)
+        """Density matrix |v><v| of the 1-D vector ``vec`` normalized to v,
+        whose trace |v|^2 must then be 1 within ``STATE_TOL``."""
+        v = np.asarray(vec, dtype=complex)
         n = np.linalg.norm(v)
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        v = v / n
+        v = _as_unit_vector(v / n, v.size, STATE_TOL, "pure state")
         return cls(Operator(np.outer(v, v.conj()), factors))
 
     @property
@@ -210,8 +202,8 @@ def projected_evolution(h_tot: Operator, tau: float, probe: ProbeSpec) -> Operat
 
     V acts on the target space A alone and is a contraction: every
     singular value is at most 1, so eigenvalue magnitudes never exceed 1.
-    This is the one place V is built; ``tau`` must be a finite,
-    nonnegative real, not a bool.
+    This is the one place V is built; ``tau`` must be a finite real (no
+    bool, see ``linalg._as_real``) and nonnegative.
 
     With ``H = Q diag(w) Q^dag`` from the cached ``h_tot.hermitian_spectrum``
     and the probe rows ``Q_phi = <phi|_X Q`` (dim_a x dim_total),
@@ -228,8 +220,9 @@ def projected_evolution(h_tot: Operator, tau: float, probe: ProbeSpec) -> Operat
     NonHermitianInput
         If ``h_tot`` is not Hermitian within ``linalg.HERMITICITY_TOL``.
     """
-    if isinstance(tau, bool) or not isinstance(tau, numbers.Real) or not 0 <= tau < math.inf:
-        raise ValueError(f"tau must be nonnegative, finite and real (no bool), not {tau!r}")
+    tau = _as_real(tau, "tau")
+    if tau < 0:
+        raise ValueError(f"tau must be nonnegative, not {tau!r}")
     if h_tot.dim != probe.dim_total:
         raise DimensionMismatch(
             f"Hamiltonian dimension {h_tot.dim} does not match probe split "
@@ -237,7 +230,7 @@ def projected_evolution(h_tot: Operator, tau: float, probe: ProbeSpec) -> Operat
         )
     w, q = h_tot.hermitian_spectrum
     q_phi = np.einsum("i,iak->ak", probe.phi_x.conj(), q.reshape(probe.dim_x, probe.dim_a, -1))
-    v = (q_phi * np.exp(-1j * w * float(tau))) @ q_phi.conj().T
+    v = (q_phi * np.exp(-1j * w * tau)) @ q_phi.conj().T
     return Operator(v)
 
 
@@ -356,19 +349,6 @@ def condition_on_probe(
     return DensityMatrix(Operator(block / p0)), p0
 
 
-def _checked_target(target: np.ndarray, dim: int) -> np.ndarray:
-    """``target`` as a flat complex vector, checked for length ``dim`` and unit norm."""
-    t = np.asarray(target, dtype=complex).reshape(-1)
-    if t.shape[0] != dim:
-        raise DimensionMismatch(
-            f"target has length {t.shape[0]}, state has dimension {dim}"
-        )
-    norm = np.linalg.norm(t)
-    if not abs(norm - 1.0) <= 1e-8:  # a NaN norm fails too
-        raise ValueError(f"target norm {norm!r} is not 1")
-    return t
-
-
 def _overlaps(t: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """<t| m |t> for every matrix m of ``stack``, clipped to [0, 1].
 
@@ -381,8 +361,9 @@ def _overlaps(t: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 
 def fidelity(rho: DensityMatrix | Operator, target: np.ndarray) -> float:
-    """Fidelity <target| rho |target> against a normalized pure state."""
-    t = _checked_target(target, rho.dim)
+    """Fidelity <target| rho |target> against a pure state of shape
+    ``(rho.dim,)`` and unit norm within 1e-8."""
+    t = _as_unit_vector(target, rho.dim, 1e-8, "target")
     return float(_overlaps(t, rho.entries[None])[0])
 
 
@@ -399,7 +380,7 @@ def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) 
 
     For each block of W_n = V^n W from ``system.orbit`` (module docstring),
     the states W_n W_n^dag / Tr[...] and the fidelity column are built at
-    once.  ``target`` gets the length and unit-norm check of ``fidelity``
+    once.  ``target`` gets the shape and unit-norm check of ``fidelity``
     (and its DimensionMismatch or ValueError) once, before the loop.
 
     Raises
@@ -412,7 +393,7 @@ def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) 
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     d = system.v.dim
-    t = None if target is None else _checked_target(target, d)
+    t = None if target is None else _as_unit_vector(target, d, 1e-8, "target")
     p0 = system.p0
     if p0 < P0_FLOOR:
         raise ZeroProbability(f"probe outcome probability {p0:.3e} vanishes")

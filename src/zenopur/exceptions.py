@@ -5,8 +5,8 @@ class ZenopurError(Exception):
     """Base class for contract and numeric failures raised by this package."""
 
 
-class NonHermitianInput(ZenopurError):
-    """A matrix that must be Hermitian deviates beyond tolerance."""
+class NonHermitianInput(ZenopurError, ValueError):
+    """A matrix that must be Hermitian deviates beyond ``linalg.HERMITICITY_TOL``."""
 
 
 class ConvergenceFailure(ZenopurError):

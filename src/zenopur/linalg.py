@@ -16,13 +16,14 @@ stale, because the entries are copied and made read-only at construction.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .exceptions import ConvergenceFailure, NonHermitianInput
+from .exceptions import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 
 HERMITICITY_TOL = 1e-10
 CONDITION_LIMIT = 1e8
@@ -33,6 +34,40 @@ def _as_index(value, name: str) -> int:
     if not isinstance(value, bool) and hasattr(type(value), "__index__"):
         return operator.index(value)
     raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
+
+
+def _as_real(value, name: str) -> float:
+    """``value`` as a float: any finite real, numpy's too, but no bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {type(value).__name__}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, not {x!r}")
+    return x
+
+
+def _as_unit_vector(value, dim: int, tol: float, name: str) -> np.ndarray:
+    """``value`` as a new complex array of shape exactly ``(dim,)`` whose
+    norm is 1 within ``tol``; nothing is flattened."""
+    v = np.array(value, dtype=complex)
+    if v.shape != (dim,):
+        raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({dim},)")
+    norm = np.linalg.norm(v)
+    if not abs(norm - 1.0) <= tol:  # a NaN norm fails too
+        raise ValueError(f"{name} norm {float(norm)!r} is not 1")
+    return v
+
+
+def _hermitian_part(m: np.ndarray, name: str) -> np.ndarray:
+    """``(m + m^dag) / 2``, or NonHermitianInput if ``max |m - m^dag|`` exceeds
+    ``HERMITICITY_TOL``."""
+    defect = np.max(np.abs(m - m.conj().T))
+    if defect > HERMITICITY_TOL:
+        raise NonHermitianInput(f"{name} deviates from Hermiticity by {defect:.3e}")
+    return (m + m.conj().T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -61,9 +96,9 @@ class Operator:
         if not np.isfinite(entries).all():
             raise ValueError("entries must be finite")
         dim = entries.shape[0]
-        factors = self.factors
-        if factors is None:
-            factors = (dim,)
+        factors = (dim,) if self.factors is None else self.factors
+        if not isinstance(factors, (tuple, list)):
+            raise ValueError(f"factors must be an integer tuple or list, not {factors!r}")
         factors = tuple(_as_index(f, "factors") for f in factors)
         if any(f < 1 for f in factors) or math.prod(factors) != dim:
             raise ValueError(
@@ -90,13 +125,7 @@ class Operator:
         NonHermitianInput
             If ``max |m - m^dag|`` exceeds ``HERMITICITY_TOL``.
         """
-        m = self.entries
-        defect = np.max(np.abs(m - m.conj().T))
-        if defect > HERMITICITY_TOL:
-            raise NonHermitianInput(
-                f"generator deviates from Hermiticity by {defect:.3e}"
-            )
-        w, q = np.linalg.eigh((m + m.conj().T) / 2.0)
+        w, q = np.linalg.eigh(_hermitian_part(self.entries, "generator"))
         w.setflags(write=False)
         q.setflags(write=False)
         return w, q

@@ -25,7 +25,7 @@ import numpy as np
 
 from .engine import ProbeSpec
 from .exceptions import BranchUnavailable
-from .linalg import Operator
+from .linalg import Operator, _as_real
 
 UP = np.array([1.0, 0.0], dtype=complex)
 DOWN = np.array([0.0, 1.0], dtype=complex)
@@ -42,8 +42,9 @@ CONDITION_TOL = 1e-9
 class ModelParams:
     """Model parameters: frequency, coupling, interval, probe amplitudes.
 
-    The probe state is |phi>_X = alpha |up> + beta |down> and must be
-    normalized within 1e-12.
+    ``omega``, ``g`` and ``tau`` are finite reals (no bool; numpy's are
+    stored as floats) and ``tau >= 0``.  The probe state |phi>_X =
+    alpha |up> + beta |down> must pass ``ProbeSpec``'s unit-norm rule.
     """
 
     omega: float
@@ -53,9 +54,11 @@ class ModelParams:
     beta: complex = INV_SQRT2
 
     def __post_init__(self):
-        norm2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if not abs(norm2 - 1.0) <= 1e-12:  # a NaN norm fails too
-            raise ValueError(f"|alpha|^2 + |beta|^2 = {norm2!r}, expected 1")
+        for name in ("omega", "g", "tau"):
+            object.__setattr__(self, name, _as_real(getattr(self, name), name))
+        if self.tau < 0:
+            raise ValueError(f"tau must be nonnegative, not {self.tau!r}")
+        probe_spec(self)  # the probe's own rule, on the same alpha and beta
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ import math
 import subprocess
 import sys
 from argparse import Namespace
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -344,33 +343,35 @@ def test_sweep_degenerate_dominance_leaves_fidelity_blank(tmp_path, capsys):
 
 
 def test_tau_sweep_builds_hamiltonian_once(tmp_path, capsys, monkeypatch):
-    payload = model_config()
-    payload["sweep"] = {"axis": "tau", "start": 1.0, "stop": TAU, "count": 5}
-    cfg = write_config(tmp_path, "sweep.json", payload)
+    # H depends on neither tau nor the probe angle: one build for either axis
     original = cli.build_hamiltonian
-    calls = []
-
-    def counted(params):
-        calls.append(params)
-        return original(params)
-
-    monkeypatch.setattr(cli, "build_hamiltonian", counted)
-    code, out, _ = run_cli(capsys, ["sweep", "--config", cfg])
-    assert code == 0
-    assert len(calls) == 1
-    # the same rows from a fresh Hamiltonian at every point
     base = ModelParams(omega=1.0, g=0.25, tau=TAU)
     psi_minus = bell_basis().psi_minus
-    lines = [cli.SWEEP_HEADER]
-    for value in np.sort(np.linspace(1.0, TAU, 5)):
-        params = replace(base, tau=float(value))
-        v = projected_evolution(original(params), params.tau, probe_spec(params))
-        report = spectral_report(v)
-        u0 = report.asymptotic_state
-        fid = "" if u0 is None else cli._fmt(abs(np.vdot(psi_minus, u0)) ** 2)
-        singlet = abs(singlet_eigenvalue(params))
-        lines.append(",".join(cli._fmt(x) for x in (value, singlet, report.gap_ratio)) + "," + fid)
-    assert out == "\n".join(lines) + "\n"
+    for axis, start, stop in (("tau", 1.0, TAU), ("alpha-angle", 0.1, 1.4)):
+        payload = model_config()
+        payload["sweep"] = {"axis": axis, "start": start, "stop": stop, "count": 5}
+        cfg = write_config(tmp_path, "sweep.json", payload)
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return original(params)
+
+        monkeypatch.setattr(cli, "build_hamiltonian", counted)
+        code, out, _ = run_cli(capsys, ["sweep", "--config", cfg])
+        assert code == 0
+        assert len(calls) == 1
+        # the same rows from a fresh Hamiltonian and probe at every point
+        lines = [cli.SWEEP_HEADER]
+        for value in np.sort(np.linspace(start, stop, 5)):
+            params = cli._sweep_params(base, axis, float(value))
+            v = projected_evolution(original(params), params.tau, probe_spec(params))
+            report = spectral_report(v)
+            u0 = report.asymptotic_state
+            fid = "" if u0 is None else cli._fmt(abs(np.vdot(psi_minus, u0)) ** 2)
+            singlet = abs(singlet_eigenvalue(params))
+            lines.append(",".join(cli._fmt(x) for x in (value, singlet, report.gap_ratio)) + "," + fid)
+        assert out == "\n".join(lines) + "\n"
 
 
 def test_sweep_alpha_angle(tmp_path, capsys):
@@ -878,13 +879,18 @@ SHOTS_ARGV = ["shots", "--seed", "7", "--shots", "2000"]
         ("readme.json", ["run"], "run.csv"),
         ("readme.json", ["spectrum"], "spectrum.json"),
         ("readme.json", ["sweep"], "sweep.csv"),
+        # the README config with an alpha-angle sweep: the probe changes, H does not
+        ("sweep_alpha.json", ["sweep"], "sweep_alpha.csv"),
         ("readme.json", SHOTS_ARGV, "shots_seed7_2000.csv"),
         # a 2 x 6 custom system whose rank-2 start, rounded to 12 decimals,
         # leaves rho'_A four noise eigenvalues of about +-1e-12
         ("custom_rounded.json", ["run"], "custom_rounded_run.csv"),
         ("custom_rounded.json", SHOTS_ARGV, "custom_rounded_shots_seed7_2000.csv"),
     ],
-    ids=["run", "spectrum", "sweep", "shots", "custom-rounded-run", "custom-rounded-shots"],
+    ids=[
+        "run", "spectrum", "sweep", "sweep-alpha", "shots", "custom-rounded-run",
+        "custom-rounded-shots",
+    ],
 )
 def test_readme_config_golden_bytes(tmp_path, capsys, config, argv, golden):
     # each checked-in config, byte for byte; the golden files are checked-in output

@@ -30,6 +30,7 @@ from zenopur.exceptions import (
     ZeroProbability,
 )
 from zenopur.linalg import Operator, matrix_exponential
+from zenopur.model3q import ModelParams
 from zenopur import trajectories
 from zenopur.trajectories import ShotConfig, run_shots
 
@@ -162,6 +163,70 @@ def test_density_matrix_validation():
         DensityMatrix(Operator(np.diag([0.7, 0.7]).astype(complex)))
     rho = DensityMatrix.pure(np.array([3.0, 4.0]))
     np.testing.assert_allclose(np.trace(rho.entries), 1.0)
+
+
+# one owner per value rule (linalg): every entry point rejects the same input.
+# MATRIX_4 has four entries of unit total norm, so it used to pass, flattened,
+# as a 4-vector; the bad reals used to construct a ModelParams.
+MATRIX_4 = np.eye(2) / np.sqrt(2.0)
+NON_HERMITIAN = np.array([[0.5, 0.5], [-0.5, 0.5]], dtype=complex)
+BAD_REALS = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "bool": True, "400-digit": 10**400}
+
+
+def _bad_inputs():
+    """(id, build(h, probe, rho) on the paper model, exception) rows."""
+    rows = [
+        ("probe-spec-matrix", lambda h, probe, rho: ProbeSpec(MATRIX_4, 4, 1), DimensionMismatch),
+        (
+            "fidelity-matrix",
+            lambda h, probe, rho: fidelity(DensityMatrix(Operator(np.eye(4) / 4)), MATRIX_4),
+            DimensionMismatch,
+        ),
+        (
+            "run-protocol-target-matrix",
+            lambda h, probe, rho: run_protocol(rho, h, 1.0, probe, 2, target=MATRIX_4),
+            DimensionMismatch,
+        ),
+        ("pure-matrix", lambda h, probe, rho: DensityMatrix.pure(MATRIX_4), DimensionMismatch),
+        (
+            "density-matrix-non-hermitian",
+            lambda h, probe, rho: DensityMatrix(Operator(NON_HERMITIAN)),
+            NonHermitianInput,
+        ),
+        (
+            "hermitian-spectrum-non-hermitian",
+            lambda h, probe, rho: Operator(NON_HERMITIAN).hermitian_spectrum,
+            NonHermitianInput,
+        ),
+    ]
+    for label, x in dict(BAD_REALS, negative=-1.0).items():
+        for field in ("tau",) if label == "negative" else ("omega", "g", "tau"):
+            kwargs = dict({"omega": 1.0, "g": 0.25, "tau": 1.0}, **{field: x})
+            rows.append((
+                f"model-params-{field}-{label}",
+                lambda h, probe, rho, kwargs=kwargs: ModelParams(**kwargs),
+                ValueError,
+            ))
+        rows.append((
+            f"projected-evolution-tau-{label}",
+            lambda h, probe, rho, x=x: projected_evolution(h, x, probe),
+            ValueError,
+        ))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "build, error", [row[1:] for row in _bad_inputs()], ids=[row[0] for row in _bad_inputs()]
+)
+def test_bad_value_is_rejected_by_its_rule(build, error):
+    _, h, probe = reference_setup()
+    rho = DensityMatrix.pure(np.kron(RIGHT, UP_DOWN), (2, 4))
+    with pytest.raises(error):
+        build(h, probe, rho)
+
+
+def test_non_hermitian_input_is_a_value_error():
+    assert issubclass(NonHermitianInput, ValueError)
 
 
 # ---------------------------------------------------------------------------

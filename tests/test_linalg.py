@@ -60,10 +60,10 @@ def test_operator_validation():
 
 
 @pytest.mark.parametrize(
-    "dim, factors", [(4, (2.7, 2)), (4, (2.0, 2)), (2, (True, 2)), (4, ("2", 2))]
+    "dim, factors", [(4, (2.7, 2)), (4, (2.0, 2)), (2, (True, 2)), (4, ("2", 2)), (2, 2)]
 )
 def test_operator_factors_take_only_integers(dim, factors):
-    # (2.7, 2) used to become (2, 2), and True to run as 1
+    # (2.7, 2) used to become (2, 2), True to run as 1, and a bare 2 to raise TypeError
     with pytest.raises(ValueError, match="factors must be an integer"):
         Operator(np.eye(dim), factors)
 

@@ -53,6 +53,12 @@ def test_params_normalization_enforced():
     ModelParams(omega=1.0, g=0.1, tau=1.0, alpha=0.6, beta=0.8j)
 
 
+def test_params_store_numpy_reals_as_floats():
+    p = ModelParams(omega=np.float64(1.0), g=np.float32(0.25), tau=np.int64(2))
+    assert (p.omega, p.g, p.tau) == (1.0, 0.25, 2.0)
+    assert {type(p.omega), type(p.g), type(p.tau)} == {float}
+
+
 def test_bell_basis_orthonormal():
     basis = bell_basis()
     vecs = [basis.psi_minus, basis.psi_plus, basis.up_up, basis.down_down]
