@@ -15,7 +15,8 @@ singlet for a ``model3q`` system); ``sweep`` reads ``sweep`` and
 ``shots`` reads ``shots``.  Every number in the config must be
 finite.  Complex-valued fields (a custom ``hamiltonian``, ``probe``,
 ``initial_state`` and ``target``, and ``alpha``/``beta``) take real
-entries or [re, im] pairs, one form throughout each array.
+entries or [re, im] pairs, one form throughout each array.  The CLI
+holds no range rule of its own: counts and tau pass the library's rules.
 
 Exit codes: 0 ok, 1 config error, 2 numeric failure.  Output goes to
 stdout unless an output path is configured (or given via --out).  Reals
@@ -36,6 +37,7 @@ import numpy as np
 from .engine import (
     DensityMatrix,
     ProbeSpec,
+    _as_target,
     condition,
     evolve,
     projected_evolution,
@@ -43,7 +45,7 @@ from .engine import (
     spectral_report,
 )
 from .exceptions import ZenopurError
-from .linalg import Operator, _as_index, _as_real, _as_unit_vector
+from .linalg import Operator, _allocating, _as_index, _as_real
 from .model3q import (
     DOWN,
     INV_SQRT2,
@@ -134,12 +136,12 @@ def _checked(path, build, *args):
         raise ConfigError(path, str(exc)) from None
 
 
-def _as_int(value, path) -> int:
-    return _checked(path, _as_index, value, path.rpartition(".")[2])
+def _as_int(value, path, low=None) -> int:
+    return _checked(path, _as_index, value, path.rpartition(".")[2], low)
 
 
-def _as_float(value, path) -> float:
-    return _checked(path, _as_real, value, path.rpartition(".")[2])
+def _as_float(value, path, nonnegative=False) -> float:
+    return _checked(path, _as_real, value, path.rpartition(".")[2], nonnegative)
 
 
 def _as_array(value, path, shape) -> np.ndarray:
@@ -197,9 +199,7 @@ def _load_system(root):
         g = _as_float(_get(system, "g", "system"), "system.g")
     elif units == "omega":
         raise ConfigError("units", "'omega' applies only to model3q systems")
-    tau = _as_float(_get(system, "tau", "system"), "system.tau")
-    if tau < 0:
-        raise ConfigError("system.tau", "must be nonnegative")
+    tau = _as_float(_get(system, "tau", "system"), "system.tau", nonnegative=True)
 
     if kind == "model3q":
         alpha, beta = (
@@ -213,10 +213,8 @@ def _load_system(root):
         params = _checked("system.alpha", ModelParams, omega, g, tau, alpha, beta)
         return params, build_hamiltonian(params), tau, probe_spec(params)
 
-    dim_x = _as_int(_get(system, "dim_x", "system"), "system.dim_x")
-    dim_a = _as_int(_get(system, "dim_a", "system"), "system.dim_a")
-    if dim_x < 1 or dim_a < 1:
-        raise ConfigError("system.dim_x", "dimensions must be positive")
+    dim_x = _as_int(_get(system, "dim_x", "system"), "system.dim_x", 1)
+    dim_a = _as_int(_get(system, "dim_a", "system"), "system.dim_a", 1)
     dim = dim_x * dim_a
     h = _as_array(_get(system, "hamiltonian", "system"), "system.hamiltonian", (dim, dim))
     h_tot = _checked("system.hamiltonian", Operator, h, (dim_x, dim_a))
@@ -246,7 +244,7 @@ def _load_target(root, params, probe):
             raise ConfigError("target", "preset 'psi-minus' needs a 4-dim target space")
         return bell_basis().psi_minus
     vec = _as_array(value, "target", (probe.dim_a,))
-    return _checked("target", _as_unit_vector, vec, probe.dim_a, 1e-8, "target")
+    return _checked("target", _as_target, vec, probe.dim_a)
 
 
 def _load_sweep(root, params):
@@ -256,26 +254,17 @@ def _load_sweep(root, params):
         raise ConfigError("sweep.axis", "expected 'tau', 'g' or 'alpha-angle'")
     if params is None:
         raise ConfigError("sweep.axis", "sweeps need a model3q system")
-    start = _as_float(_get(section, "start", "sweep"), "sweep.start")
-    stop = _as_float(_get(section, "stop", "sweep"), "sweep.stop")
-    count = _as_int(_get(section, "count", "sweep"), "sweep.count")
-    if count < 2:
-        raise ConfigError("sweep.count", "must be at least 2")
-    if axis == "tau" and (start < 0 or stop < 0):
-        raise ConfigError("sweep.start", "tau values must be nonnegative")
+    start = _as_float(_get(section, "start", "sweep"), "sweep.start", nonnegative=axis == "tau")
+    stop = _as_float(_get(section, "stop", "sweep"), "sweep.stop", nonnegative=axis == "tau")
+    count = _as_int(_get(section, "count", "sweep"), "sweep.count", 2)
     return SweepSpec(axis, start, stop, count)
 
 
 def _load_shot_config(root, n_steps, args):
     section = _get(root, "shots", "", required=False, default={})
-    shots = _as_int(
-        _get(section, "shots", "shots", required=False, default=DEFAULT_SHOTS),
-        "shots.shots",
-    )
-    seed = _as_int(
-        _get(section, "seed", "shots", required=False, default=DEFAULT_SEED),
-        "shots.seed",
-    )
+    shots = _get(section, "shots", "shots", required=False, default=DEFAULT_SHOTS)
+    seed = _get(section, "seed", "shots", required=False, default=DEFAULT_SEED)
+    shots, seed = _as_int(shots, "shots.shots", 1), _as_int(seed, "shots.seed")
     if getattr(args, "shots", None) is not None:
         shots = args.shots
     if getattr(args, "seed", None) is not None:
@@ -294,7 +283,7 @@ def load_config(path: str, command: str, args) -> RunConfig:
             root = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer beyond Python's digit limit
         raise ConfigError("config", f"invalid JSON: {exc}") from None
     if not isinstance(root, dict):
         raise ConfigError("config", "top level must be an object")
@@ -305,11 +294,9 @@ def load_config(path: str, command: str, args) -> RunConfig:
     if command in ("run", "shots"):
         # the commands that evolve the conditioned state
         cfg.rho_tot = _load_initial_state(root, probe)
-        cfg.n_steps = _as_int(_get(root, "n_steps", ""), "n_steps")
+        cfg.n_steps = _as_int(_get(root, "n_steps", ""), "n_steps", 0)
         if getattr(args, "steps", None) is not None:
-            cfg.n_steps = args.steps
-        if cfg.n_steps < 0:
-            raise ConfigError("n_steps", "must be nonnegative")
+            cfg.n_steps = _as_int(args.steps, "n_steps", 0)
         cfg.target = _load_target(root, params, probe)
 
     out_section = _get(root, "output", "", required=False, default={})
@@ -377,7 +364,10 @@ def cmd_sweep(cfg: RunConfig) -> str:
     only an alpha-angle sweep rebuilds the probe; the rest is the config's.
     """
     spec = cfg.sweep
-    values = np.sort(np.linspace(spec.start, spec.stop, spec.count))
+    with _allocating("sweep.count", spec.count):
+        values = np.empty(spec.count)  # first: linspace mis-sizes counts near 2**63
+        values[:] = np.linspace(spec.start, spec.stop, spec.count)
+    values.sort()
     psi_minus = bell_basis().psi_minus
     h_tot, probe = cfg.h_tot, cfg.probe
     lines = [SWEEP_HEADER]

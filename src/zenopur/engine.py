@@ -42,7 +42,7 @@ from .exceptions import (
     ZeroProbability,
 )
 from .linalg import Eigensystem, Operator, eig_general
-from .linalg import _as_index, _as_real, _as_unit_vector, _hermitian_part
+from .linalg import _allocating, _as_index, _as_real, _as_unit_vector, _hermitian_part
 from .linalg import matrix_exponential  # noqa: F401  traced by name in bench/worker.py
 
 P0_FLOOR = 1e-14
@@ -75,9 +75,7 @@ class ProbeSpec:
 
     def __post_init__(self):
         for name in ("dim_x", "dim_a"):
-            object.__setattr__(self, name, _as_index(getattr(self, name), name))
-        if self.dim_x < 1 or self.dim_a < 1:
-            raise ValueError("dimensions must be positive")
+            object.__setattr__(self, name, _as_index(getattr(self, name), name, 1))
         phi = _as_unit_vector(self.phi_x, self.dim_x, 1e-12, "probe state")
         phi.setflags(write=False)
         object.__setattr__(self, "phi_x", phi)
@@ -220,9 +218,7 @@ def projected_evolution(h_tot: Operator, tau: float, probe: ProbeSpec) -> Operat
     NonHermitianInput
         If ``h_tot`` is not Hermitian within ``linalg.HERMITICITY_TOL``.
     """
-    tau = _as_real(tau, "tau")
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, not {tau!r}")
+    tau = _as_real(tau, "tau", nonnegative=True)
     if h_tot.dim != probe.dim_total:
         raise DimensionMismatch(
             f"Hamiltonian dimension {h_tot.dim} does not match probe split "
@@ -360,10 +356,15 @@ def _overlaps(t: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.clip(vals, 0.0, 1.0)
 
 
+def _as_target(value, dim: int) -> np.ndarray:
+    """``value`` as a target state: shape ``(dim,)``, unit norm within 1e-8."""
+    return _as_unit_vector(value, dim, 1e-8, "target")
+
+
 def fidelity(rho: DensityMatrix | Operator, target: np.ndarray) -> float:
     """Fidelity <target| rho |target> against a pure state of shape
     ``(rho.dim,)`` and unit norm within 1e-8."""
-    t = _as_unit_vector(target, rho.dim, 1e-8, "target")
+    t = _as_target(target, rho.dim)
     return float(_overlaps(t, rho.entries[None])[0])
 
 
@@ -389,19 +390,18 @@ def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) 
         If the initial probe outcome has vanishing probability, or the
         survival probability underflows ``SURVIVAL_FLOOR``.
     """
-    n_steps = _as_index(n_steps, "n_steps")
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
+    n_steps = _as_index(n_steps, "n_steps", 0)
     d = system.v.dim
-    t = None if target is None else _as_unit_vector(target, d, 1e-8, "target")
+    t = None if target is None else _as_target(target, d)
     p0 = system.p0
     if p0 < P0_FLOOR:
         raise ZeroProbability(f"probe outcome probability {p0:.3e} vanishes")
     w = system.members * np.sqrt(system.weights / p0)
 
-    probs = np.empty(n_steps + 1)
-    fids = None if t is None else np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, d, d), dtype=complex)
+    with _allocating("n_steps", n_steps):
+        probs = np.empty(n_steps + 1)
+        fids = None if t is None else np.empty(n_steps + 1)
+        states = np.empty((n_steps + 1, d, d), dtype=complex)
     for start, wb in system.orbit(w, n_steps):
         stop = start + len(wb)
         out = states[start:stop]

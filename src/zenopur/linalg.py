@@ -18,26 +18,31 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .exceptions import ConvergenceFailure, DimensionMismatch, NonHermitianInput
+from .exceptions import ConvergenceFailure, DimensionMismatch, NonHermitianInput, ZenopurError
 
 HERMITICITY_TOL = 1e-10
 CONDITION_LIMIT = 1e8
 
 
-def _as_index(value, name: str) -> int:
-    """``value`` as an int: any integer, numpy's too, but no bool or float."""
-    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
-        return operator.index(value)
-    raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
+def _as_index(value, name: str, low: int | None = None, end: int = 2**63) -> int:
+    """``value`` as an int: any integer, numpy's too, but no bool or float; given
+    ``low``, a count ``low <= value < end`` (2**63: numpy lengths and int64 stop)."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
+    x = operator.index(value)
+    if low is not None and not low <= x < end:
+        raise ValueError(f"{name} must be at least {low} and less than {end}")
+    return x
 
 
-def _as_real(value, name: str) -> float:
-    """``value`` as a float: any finite real, numpy's too, but no bool."""
+def _as_real(value, name: str, nonnegative: bool = False) -> float:
+    """``value`` as a float: any finite real, numpy's too, but no bool; >= 0 if ``nonnegative``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, not {type(value).__name__}")
     try:
@@ -46,7 +51,18 @@ def _as_real(value, name: str) -> float:
         x = math.inf
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, not {x!r}")
+    if nonnegative and x < 0:
+        raise ValueError(f"{name} must be nonnegative, not {x!r}")
     return x
+
+
+@contextmanager
+def _allocating(name: str, count: int):
+    """Numpy's refusal to allocate by the count ``name`` in the block is a ZenopurError."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        raise ZenopurError(f"cannot allocate for {name} = {count}: {exc}") from None
 
 
 def _as_unit_vector(value, dim: int, tol: float, name: str) -> np.ndarray:
@@ -99,11 +115,9 @@ class Operator:
         factors = (dim,) if self.factors is None else self.factors
         if not isinstance(factors, (tuple, list)):
             raise ValueError(f"factors must be an integer tuple or list, not {factors!r}")
-        factors = tuple(_as_index(f, "factors") for f in factors)
-        if any(f < 1 for f in factors) or math.prod(factors) != dim:
-            raise ValueError(
-                f"factors {factors} do not multiply to dimension {dim}"
-            )
+        factors = tuple(_as_index(f, "factors", 1) for f in factors)
+        if math.prod(factors) != dim:
+            raise ValueError(f"factors {factors} do not multiply to dimension {dim}")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "factors", factors)

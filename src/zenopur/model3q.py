@@ -55,9 +55,8 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("omega", "g", "tau"):
-            object.__setattr__(self, name, _as_real(getattr(self, name), name))
-        if self.tau < 0:
-            raise ValueError(f"tau must be nonnegative, not {self.tau!r}")
+            value = _as_real(getattr(self, name), name, nonnegative=name == "tau")
+            object.__setattr__(self, name, value)
         probe_spec(self)  # the probe's own rule, on the same alpha and beta
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Conditioned, DensityMatrix, ProbeSpec, condition
-from .linalg import Operator, _as_index
+from .linalg import Operator, _allocating, _as_index
 from .linalg import matrix_exponential  # noqa: F401  traced by name in bench/worker.py
 
 _BLOCK_UNIFORMS = 1 << 16  # uniforms per row block of two-uniform shots; bounds the draws
@@ -59,12 +59,12 @@ _BLOCK_UNIFORMS = 1 << 16  # uniforms per row block of two-uniform shots; bounds
 class ShotConfig:
     """Shot count, RNG seed and number of protocol steps.
 
-    Each is an integer (numpy's too) and is stored as a Python int; a bool
-    or a float, even an integral one, raises ValueError.  The seed (64-bit
-    unsigned) is the key of the one Philox stream all shots draw from; shot
-    i reads row i of it, two uniforms (its member and its death uniform)
-    whatever ``n_steps``, so the same config gives the same records bit for
-    bit.
+    Each is an integer (numpy's too), stored as a Python int; a bool, a float
+    or a count outside ``1 <= shots``, ``0 <= n_steps`` (both below 2**63)
+    raises ValueError.  The seed (64-bit unsigned) is the key of the one
+    Philox stream all shots draw from; shot i reads row i of it, two
+    uniforms (its member and its death uniform) whatever ``n_steps``, so
+    the same config gives the same records bit for bit.
     """
 
     shots: int
@@ -72,14 +72,8 @@ class ShotConfig:
     n_steps: int
 
     def __post_init__(self):
-        for name in ("shots", "seed", "n_steps"):
-            object.__setattr__(self, name, _as_index(getattr(self, name), name))
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be nonnegative")
+        for name, low, end in (("shots", 1, 2**63), ("seed", 0, 2**64), ("n_steps", 0, 2**63)):
+            object.__setattr__(self, name, _as_index(getattr(self, name), name, low, end))
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,8 @@ def _member_survival(system: Conditioned, n_steps: int) -> tuple[np.ndarray, np.
     rows, and the zero vector, not 0/0, on a path that V annihilates.
     """
     u = system.members
-    table = np.empty((u.shape[1], n_steps + 1))
+    with _allocating("n_steps", n_steps):
+        table = np.empty((u.shape[1], n_steps + 1))
     for start, stack in system.orbit(u, n_steps):
         # |V^n u_j|^2 from the real and imaginary views: no complex temporary
         norms = table[:, start : start + len(stack)]

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from argparse import Namespace
 from pathlib import Path
 
@@ -677,6 +678,109 @@ def test_non_integer_count_is_config_error(tmp_path, capsys, field, command, val
     assert code == 1 and out == ""
     assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def edited(base, edits):
+    """Copy of the config ``base`` with each dotted field of ``edits`` set."""
+    payload = json.loads(json.dumps(base))
+    for field, value in edits.items():
+        section, _, key = field.rpartition(".")
+        (payload.setdefault(section, {}) if section else payload)[key] = value
+    return payload
+
+
+def readme_config():
+    return json.loads((GOLDEN / "readme.json").read_text(encoding="utf-8"))
+
+
+TAU_SWEEP = {"sweep.axis": "tau", "sweep.start": 0.0, "sweep.stop": 1.0}
+# id, command, base config, fields set on it, extra argv, field reported; the
+# last rows are counts at or past 2**63, the end of every count rule
+CONFIG_ERRORS = [
+    ("top-level-list", "run", "list", {}, [], "config"),
+    ("system-not-object", "run", "readme", {"system": 3}, [], "system"),
+    ("unknown-preset", "run", "readme", {"initial_state": "bell"}, [], "initial_state"),
+    ("preset-on-2x2", "run", "custom", {"initial_state": "paper-product"}, [], "initial_state"),
+    ("bad-kind", "run", "readme", {"system.kind": "qutrit"}, [], "system.kind"),
+    ("bad-units", "run", "readme", {"units": "hertz"}, [], "units"),
+    ("omega-on-custom", "run", "custom", {"units": "omega"}, [], "units"),
+    ("negative-tau", "run", "readme", {"system.tau": -1.0}, [], "system.tau"),
+    ("negative-sweep-start", "sweep", "readme", dict(TAU_SWEEP, **{"sweep.start": -1.0}), [],
+     "sweep.start"),
+    ("negative-sweep-stop", "sweep", "readme", dict(TAU_SWEEP, **{"sweep.stop": -1.0}), [],
+     "sweep.stop"),
+    ("dim-x-zero", "run", "custom", {"system.dim_x": 0}, [], "system.dim_x"),
+    ("dim-a-zero", "run", "custom", {"system.dim_a": 0}, [], "system.dim_a"),
+    ("psi-minus-on-2-dim", "run", "custom", {"target": "psi-minus"}, [], "target"),
+    ("bad-sweep-axis", "sweep", "readme", {"sweep.axis": "omega"}, [], "sweep.axis"),
+    ("negative-n-steps", "run", "readme", {"n_steps": -1}, [], "n_steps"),
+    ("negative-steps-option", "run", "readme", {}, ["--steps", "-1"], "n_steps"),
+    ("output-path-number", "run", "readme", {"output.path": 3}, [], "output.path"),
+    ("zero-shots", "shots", "readme", {"shots.shots": 0}, [], "shots.shots"),
+    ("shots-400-digit", "shots", "readme", {"shots.shots": 10**400}, [], "shots.shots"),
+    ("shots-2**63", "shots", "readme", {"shots.shots": 2**63}, [], "shots.shots"),
+    ("n-steps-400-digit", "run", "readme", {"n_steps": 10**400}, [], "n_steps"),
+    ("steps-option-10**30", "run", "readme", {}, ["--steps", str(10**30)], "n_steps"),
+    ("sweep-count-400-digit", "sweep", "readme", {"sweep.count": 10**400}, [], "sweep.count"),
+    ("sweep-count-2**63", "sweep", "readme", {"sweep.count": 2**63}, [], "sweep.count"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, base, edits, argv, field", [row[1:] for row in CONFIG_ERRORS],
+    ids=[row[0] for row in CONFIG_ERRORS],
+)
+def test_config_error_names_its_field(tmp_path, capsys, monkeypatch, command, base, edits, argv,
+                                      field):
+    bases = {"readme": readme_config(), "custom": custom_config(), "list": [readme_config()]}
+    payload = edited(bases[base], edits)
+    argv = [command, "--config", write_config(tmp_path, "bad.json", payload)] + argv
+    # load_config alone first, so a count it lets through fails here, not in a
+    # command that runs without end
+    args = cli._build_parser().parse_args(argv)
+    with pytest.raises(cli.ConfigError) as info:
+        load_config(args.config, args.command, args)
+    assert info.value.field == field
+
+    def never_called(cfg):
+        raise AssertionError("the command ran on an invalid config")
+
+    monkeypatch.setitem(cli._COMMANDS, command, never_called)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "argv, edits, name",
+    [
+        (["run", "--steps", str(2**62)], {}, "n_steps"),
+        (["shots", "--steps", str(2**62)], {}, "n_steps"),
+        (["sweep"], {"sweep.count": 2**62}, "sweep.count"),
+        (["sweep"], {"sweep.count": 2**63 - 1}, "sweep.count"),
+    ],
+    ids=["run-steps-2**62", "shots-steps-2**62", "sweep-count-2**62", "sweep-count-2**63-1"],
+)
+def test_unallocatable_count_is_one_numeric_failure(tmp_path, capsys, argv, edits, name):
+    # within the count rule, but numpy cannot allocate arrays of that length
+    cfg = write_config(tmp_path, "huge.json", edited(readme_config(), edits))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, argv[:1] + ["--config", cfg] + argv[1:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert f"{name} = " in err and "Traceback" not in err
+    assert peak < 1 << 20
 
 
 def test_usage_error_exits_one(capsys):

@@ -198,6 +198,18 @@ def _bad_inputs():
             lambda h, probe, rho: Operator(NON_HERMITIAN).hermitian_spectrum,
             NonHermitianInput,
         ),
+        ("probe-spec-zero-dim", lambda h, probe, rho: ProbeSpec(RIGHT, 0, 4), ValueError),
+        ("pure-zero-vector", lambda h, probe, rho: DensityMatrix.pure(np.zeros(4)), ValueError),
+        (
+            "probe-block-wrong-size",
+            lambda h, probe, rho: probe_block(DensityMatrix(Operator(np.eye(4) / 4)), probe),
+            DimensionMismatch,
+        ),
+        (
+            "evolve-negative-steps",
+            lambda h, probe, rho: evolve(condition(rho, h, 1.0, probe), -1),
+            ValueError,
+        ),
     ]
     for label, x in dict(BAD_REALS, negative=-1.0).items():
         for field in ("tau",) if label == "negative" else ("omega", "g", "tau"):

@@ -15,7 +15,7 @@ from zenopur.engine import (
     projected_evolution,
     run_protocol,
 )
-from zenopur.exceptions import DimensionMismatch, ZeroProbability
+from zenopur.exceptions import DimensionMismatch, ZenopurError, ZeroProbability
 from zenopur.linalg import Operator
 from zenopur.model3q import ModelParams, bell_basis, build_hamiltonian, probe_spec
 from zenopur import trajectories
@@ -126,6 +126,33 @@ def test_shot_config_takes_only_integers(field, value):
     fields[field] = value
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         ShotConfig(**fields)
+
+
+@pytest.mark.parametrize("field", ["shots", "n_steps"])
+def test_shot_config_counts_stop_below_2_63(field):
+    fields = dict(shots=10, seed=1, n_steps=3)
+    for value in (2**63, 10**400):
+        with pytest.raises(ValueError, match=f"{field} must be at least"):
+            ShotConfig(**dict(fields, **{field: value}))
+    assert getattr(ShotConfig(**dict(fields, **{field: 2**63 - 1})), field) == 2**63 - 1
+
+
+@pytest.mark.parametrize("run", ["evolve", "sample"])
+def test_unallocatable_step_count_is_a_zenopur_error(run):
+    # 2**62 steps pass the count rule, but no numpy array holds one row per step
+    _, h, probe, rho = reference_inputs()
+    system = condition(rho, h, 2 * np.pi, probe)
+    with pytest.raises(ValueError, match="n_steps must be at least 0 and less than"):
+        evolve(system, 2**63)
+    n = 2**62
+    tracemalloc.start()
+    try:
+        with pytest.raises(ZenopurError, match=f"n_steps = {n}"):
+            evolve(system, n) if run == "evolve" else sample(system, ShotConfig(10, 1, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_shot_config_stores_numpy_integers_as_ints():
