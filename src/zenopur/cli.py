@@ -264,11 +264,11 @@ def _load_shot_config(root, n_steps, args):
     section = _get(root, "shots", "", required=False, default={})
     shots = _get(section, "shots", "shots", required=False, default=DEFAULT_SHOTS)
     seed = _get(section, "seed", "shots", required=False, default=DEFAULT_SEED)
-    shots, seed = _as_int(shots, "shots.shots", 1), _as_int(seed, "shots.seed")
     if getattr(args, "shots", None) is not None:
         shots = args.shots
     if getattr(args, "seed", None) is not None:
         seed = args.seed
+    shots, seed = _as_int(shots, "shots.shots", 1), _as_int(seed, "shots.seed")
     return _checked("shots", ShotConfig, shots, seed, n_steps)
 
 

@@ -20,26 +20,23 @@ estimate the exact P(n), and the survivors' final states,
 sum_k c_k x_k x_k^dag over the c_k survivors of each member, average
 into an estimate of the exact conditional state.
 
-Death times are drawn in the waiting-time form of the quantum-jump
-method (Dalibard, Castin and Molmer, PRL 68, 580 (1992); Plenio and
-Knight, RMP 70, 101 (1998)): instead of one uniform per step, a shot
-draws one uniform v and is alive at step n exactly when v < S_k(n), with
-S_k(0) = 1 and S_k(n) the running minimum of |V^n u_k|^2, which has the
-per-step law above; the running minimum only keeps S_k non-increasing
-under rounding.  The survivors of member k at every step are one
-``searchsorted`` of S_k into the sorted death uniforms of its shots.  The
-S_k and x_k of every kept member are computed once per run, before the
-first draw, from the V^n u_k of one ``engine.Conditioned.orbit`` call,
-the fill ``engine.evolve`` uses too; no (shots x steps) array is formed.
-
-All draws come from one Philox stream keyed by the seed.  Row i of a
-(shots, 2) array of uniforms belongs to shot i: column 0 picks the
-member u_k or the failed n = 0 measurement, column 1 is the death
-uniform v.  A Philox counter step yields 4 uniforms, two rows, so any
-range of rows starts at a known counter.  Shots run in row blocks of at
-most ``_BLOCK_UNIFORMS`` uniforms (at least one row), so the draws of a
-block stay bounded however many shots; results are reproducible bit for
-bit and independent of the block size.
+The counts are drawn without single trajectories.  A shot passes n = 0 as
+member k with probability lambda_k, and a shot of member k dies at step
+n with probability S_k(n-1) - S_k(n) and is alive at N = n_steps with
+probability S_k(N), where S_k(0) = 1 and S_k(n) is the running minimum of
+|V^n u_k|^2, which has the per-step law above; the running minimum only
+keeps S_k non-increasing under rounding.  The shots are independent, so
+the members' counts are one multinomial draw over the members and the
+failed n = 0 measurement, and the death steps of member k's shots one
+multinomial draw over those N + 1 cells: the conditional-binomial method
+(Devroye, Non-Uniform Random Variate Generation, Springer 1986)
+that numpy's ``Generator.multinomial`` implements.  Both draws come from
+one Philox stream keyed by the seed, so a run costs O(r N) for r kept
+members whatever the shot count, and its counts depend on the seed and
+the ``engine.Conditioned`` system alone.  The S_k and x_k of every kept
+member are computed once per run, before the first draw, from the
+V^n u_k of one ``engine.Conditioned.orbit`` call, the fill
+``engine.evolve`` uses too; no (shots x steps) array is formed.
 """
 
 from __future__ import annotations
@@ -52,8 +49,6 @@ from .engine import Conditioned, DensityMatrix, ProbeSpec, condition
 from .linalg import Operator, _allocating, _as_index
 from .linalg import matrix_exponential  # noqa: F401  traced by name in bench/worker.py
 
-_BLOCK_UNIFORMS = 1 << 16  # uniforms per row block of two-uniform shots; bounds the draws
-
 
 @dataclass(frozen=True)
 class ShotConfig:
@@ -62,9 +57,8 @@ class ShotConfig:
     Each is an integer (numpy's too), stored as a Python int; a bool, a float
     or a count outside ``1 <= shots``, ``0 <= n_steps`` (both below 2**63)
     raises ValueError.  The seed (64-bit unsigned) is the key of the one
-    Philox stream all shots draw from; shot i reads row i of it, two
-    uniforms (its member and its death uniform) whatever ``n_steps``, so
-    the same config gives the same records bit for bit.
+    Philox stream a run draws its counts from, so the same config gives the
+    same counts bit for bit.
     """
 
     shots: int
@@ -92,18 +86,6 @@ class ShotSummary:
     final_state_estimate: Operator | None
 
 
-def _shot_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
-    """Rows ``start:stop`` of the (shots, 2) uniforms of shot records.
-
-    The whole array is one Philox(key=seed) stream read row by row.  A
-    Philox counter step yields 4 draws, two rows, so row ``start`` begins
-    ``start // 2`` steps in, after one dropped row when ``start`` is odd.
-    """
-    odd = start % 2
-    bitgen = np.random.Philox(key=seed).advance(start // 2)
-    return np.random.Generator(bitgen).random((stop - start + odd, 2))[odd:]
-
-
 def _member_survival(system: Conditioned, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Survival table and final states of the members ``system`` keeps.
 
@@ -127,40 +109,31 @@ def _member_survival(system: Conditioned, n_steps: int) -> tuple[np.ndarray, np.
 
 
 def sample(system: Conditioned, cfg: ShotConfig) -> ShotSummary:
-    """Run ``cfg.shots`` independent trajectories of the protocol on ``system``.
+    """Survivor counts of ``cfg.shots`` independent runs of the protocol on ``system``.
 
     Step n of the returned summary counts the shots whose first n+1
     measurements (the conditioning one at n = 0 included) all found the
     probe in |phi>_X, so ``frequency[n]`` estimates the exact P(n).
 
     Every kept member's survival S_k and final state x_k come from one
-    ``_member_survival`` call (module docstring); the counts and the estimate
-    are those of evolving every survivor on the same draws.
+    ``_member_survival`` call; the counts are two multinomial draws on them
+    (module docstring), and the estimate averages x_k over the survivors.
     """
-    cum = np.cumsum(system.weights)
-    r, n_steps = len(system.weights), cfg.n_steps
-    table, final = _member_survival(system, n_steps)
-    counts = np.zeros(r, dtype=np.int64)  # shots alive at n_steps, per member
-    successes = np.zeros(n_steps + 1, dtype=np.int64)
-    rows_per_block = max(1, _BLOCK_UNIFORMS // 2)
-    for start in range(0, cfg.shots, rows_per_block):
-        stop = min(start + rows_per_block, cfg.shots)
-        draws = _shot_uniforms(cfg.seed, start, stop)
-        # column 0 picks member k with probability lambda_k; index r, which a
-        # uniform >= sum_k lambda_k picks, fails at n = 0 and is skipped
-        k = np.searchsorted(cum, draws[:, 0], side="right")
-        # column 1 is the death uniform v: a shot of member j is alive at
-        # step n when v < S_j(n), so the sorted v of the member give every
-        # step's survivors with one search
-        for j in np.flatnonzero(np.bincount(k, minlength=r)[:r]):
-            alive = np.searchsorted(np.sort(draws[k == j, 1]), table[j])
-            successes += alive
-            counts[j] += alive[-1]
-
+    table, final = _member_survival(system, cfg.n_steps)
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    # a state's trace may pass 1 by STATE_TOL; numpy refuses weights summing past 1 + 1e-12
+    weights = system.weights / max(1.0, system.weights.sum())
+    # the last cell is the failed n = 0 measurement
+    picked = rng.multinomial(cfg.shots, np.append(weights, max(0.0, 1.0 - weights.sum())))[:-1]
+    # cell n < N holds the deaths at step n + 1, S(n) - S(n + 1); cell N the survivors
+    table[:, :-1] -= table[:, 1:]
+    deaths = rng.multinomial(picked, table)
+    counts = deaths[:, -1]
+    successes = picked.sum() - np.concatenate(([0], deaths[:, :-1].sum(axis=0).cumsum()))
     frequency = successes / float(cfg.shots)
     estimate = None
-    if successes[n_steps] > 0:
-        mean = (final.T * counts) @ final.conj() / successes[n_steps]
+    if successes[-1] > 0:
+        mean = (final.T * counts) @ final.conj() / successes[-1]
         mean = (mean + mean.conj().T) / 2.0
         estimate = Operator(mean)
     successes.setflags(write=False)

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 from argparse import Namespace
 from pathlib import Path
@@ -719,6 +720,8 @@ CONFIG_ERRORS = [
     ("zero-shots", "shots", "readme", {"shots.shots": 0}, [], "shots.shots"),
     ("shots-400-digit", "shots", "readme", {"shots.shots": 10**400}, [], "shots.shots"),
     ("shots-2**63", "shots", "readme", {"shots.shots": 2**63}, [], "shots.shots"),
+    ("shots-option-0", "shots", "readme", {}, ["--shots", "0"], "shots.shots"),
+    ("shots-option-2**63", "shots", "readme", {}, ["--shots", str(2**63)], "shots.shots"),
     ("n-steps-400-digit", "run", "readme", {"n_steps": 10**400}, [], "n_steps"),
     ("steps-option-10**30", "run", "readme", {}, ["--steps", str(10**30)], "n_steps"),
     ("sweep-count-400-digit", "sweep", "readme", {"sweep.count": 10**400}, [], "sweep.count"),
@@ -848,6 +851,21 @@ def test_shots_conditions_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert counts == {"projected_evolution": 1, "probe_block": 1}
     assert out == (GOLDEN / "shots_seed7_2000.csv").read_text(encoding="utf-8")
+
+
+def test_huge_shot_count_finishes(capsys):
+    # 2**62 shots cost what 2000 do: the counts are two multinomial draws
+    argv = ["shots", "--config", str(GOLDEN / "readme.json"), "--shots", str(2**62)]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err == ""
+    assert elapsed < 1.0
+    lines = out.splitlines()
+    assert lines[0] == "n,mc_frequency,exact_probability,abs_error"
+    rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    assert rows.shape == (11, 4)
+    assert np.all(np.abs(rows[:, 1] - rows[:, 2]) <= 1e-6)
 
 
 @pytest.mark.parametrize("via_config", [False, True])
