@@ -136,8 +136,8 @@ def _checked(path, build, *args):
         raise ConfigError(path, str(exc)) from None
 
 
-def _as_int(value, path, low=None) -> int:
-    return _checked(path, _as_index, value, path.rpartition(".")[2], low)
+def _as_int(value, path, low=None, end=2**63) -> int:
+    return _checked(path, _as_index, value, path.rpartition(".")[2], low, end)
 
 
 def _as_float(value, path, nonnegative=False) -> float:
@@ -268,7 +268,7 @@ def _load_shot_config(root, n_steps, args):
         shots = args.shots
     if getattr(args, "seed", None) is not None:
         seed = args.seed
-    shots, seed = _as_int(shots, "shots.shots", 1), _as_int(seed, "shots.seed")
+    shots, seed = _as_int(shots, "shots.shots", 1), _as_int(seed, "shots.seed", 0, 2**64)
     return _checked("shots", ShotConfig, shots, seed, n_steps)
 
 

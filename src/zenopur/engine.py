@@ -41,7 +41,7 @@ from .exceptions import (
     NotPositiveSemidefinite,
     ZeroProbability,
 )
-from .linalg import Eigensystem, Operator, eig_general
+from .linalg import CONDITION_LIMIT, Eigensystem, Operator, _dominant_pair, eig_general
 from .linalg import _allocating, _as_index, _as_real, _as_unit_vector, _hermitian_part
 from .linalg import matrix_exponential  # noqa: F401  traced by name in bench/worker.py
 
@@ -125,17 +125,17 @@ class DensityMatrix:
 class SpectralReport:
     """Spectral diagnostics of a projected evolution operator.
 
+    ``eigensystem`` holds the eigenvalues (and the vectors only if read).
     ``dominant_index`` points at the top of the magnitude-sorted spectrum
     and is None only when the whole spectrum vanishes.  ``dominant_unique``
     is False whenever the two largest magnitudes agree within
-    ``DOMINANCE_TOL``.  ``asymptotic_state`` is the unit right eigenvector
-    of the dominant eigenvalue (present only when dominance is unique),
-    and ``yield_coefficient`` is <v0| rho |v0> with the matching left
-    eigenvector, the prefactor of the large-N success probability
-    P(N) ~ |lambda0|^(2N) <v0|rho|v0>.  The yield is present only when an
-    initial state was supplied, dominance is unique and V is
-    diagonalizable; otherwise no left eigenvector defines it and it is
-    None.
+    ``DOMINANCE_TOL``.  Given unique dominance, ``asymptotic_state`` is the
+    unit right eigenvector r0 of lambda0 and ``dominant_condition`` is
+    s0 = |l0|, lambda0's Wilkinson condition, for the left eigenvector l0
+    with l0 r0 = 1; both are None otherwise.  ``yield_coefficient`` is
+    <l0| rho |l0>, the prefactor of P(N) ~ |lambda0|^(2N) <l0|rho|l0>.  It
+    needs an initial state, unique dominance and s0 <= ``CONDITION_LIMIT``
+    (lambda0 not nearly defective, whatever the rest of the spectrum does).
     """
 
     eigensystem: Eigensystem
@@ -144,6 +144,7 @@ class SpectralReport:
     gap_ratio: float
     asymptotic_state: np.ndarray | None = None
     yield_coefficient: float | None = None
+    dominant_condition: float | None = None
 
 
 @dataclass(frozen=True)
@@ -443,7 +444,9 @@ def spectral_report(
     The gap ratio is |lambda1| / |lambda0| for the two largest magnitudes
     (0 for a one-dimensional space, NaN if the whole spectrum vanishes).
     Purification is efficient when |lambda0| is close to 1 and the gap
-    ratio is well below 1.
+    ratio is well below 1.  It computes the eigenvalues (``eig_general``)
+    and, with unique dominance, the dominant pair by inverse iteration
+    (``linalg._dominant_pair``), and no other eigenvector.
     """
     if rho_a is not None and rho_a.dim != v.dim:
         raise DimensionMismatch(
@@ -452,30 +455,23 @@ def spectral_report(
     es = eig_general(v)
     mags = np.abs(es.eigenvalues)
     if mags[0] == 0.0:
-        return SpectralReport(
-            eigensystem=es,
-            dominant_index=None,
-            dominant_unique=False,
-            gap_ratio=math.nan,
-        )
-    if mags.shape[0] == 1:
-        unique = True
-        gap = 0.0
-    else:
-        unique = bool(mags[0] - mags[1] > DOMINANCE_TOL)
-        gap = float(mags[1] / mags[0])
-    asymptotic = es.right_vectors[:, 0] if unique else None
-    coeff = None
-    if rho_a is not None and unique and es.diagonalizable:
-        l0 = es.left_vectors[0]
-        coeff = float(np.real(l0 @ rho_a.entries @ l0.conj()))
+        return SpectralReport(es, dominant_index=None, dominant_unique=False, gap_ratio=math.nan)
+    single = mags.shape[0] == 1
+    unique = single or bool(mags[0] - mags[1] > DOMINANCE_TOL)
+    gap = 0.0 if single else float(mags[1] / mags[0])
+    r0 = s0 = coeff = None
+    if unique:
+        r0, l0, s0 = _dominant_pair(v.entries, es.eigenvalues[0])
+        if rho_a is not None and s0 <= CONDITION_LIMIT:
+            coeff = float(np.real(l0 @ rho_a.entries @ l0.conj()))
     return SpectralReport(
         eigensystem=es,
         dominant_index=0,
         dominant_unique=unique,
         gap_ratio=gap,
-        asymptotic_state=asymptotic,
+        asymptotic_state=r0,
         yield_coefficient=coeff,
+        dominant_condition=s0,
     )
 
 

@@ -147,28 +147,47 @@ class Operator:
 
 @dataclass(frozen=True)
 class Eigensystem:
-    """Full eigendecomposition of a general (possibly non-normal) matrix.
+    """Sorted eigenvalues of a general (possibly non-normal) matrix; its
+    eigenvectors are computed from the read-only ``matrix`` on first read.
 
     ``eigenvalues`` are sorted by descending magnitude, ties broken by
     descending real part and then descending imaginary part.  Columns of
-    ``right_vectors`` are unit-norm right eigenvectors in the same order.
-    When the matrix is diagonalizable, rows of ``left_vectors`` are the
-    matching left eigenvectors, scaled so that ``left_vectors @
-    right_vectors`` is the identity.  For a defective (or numerically
-    defective) matrix no such pairing exists: ``diagonalizable`` is False
-    and ``left_vectors`` is None.
+    ``right_vectors`` are unit-norm right eigenvectors (``np.linalg.eig``,
+    sorted alike).  ``diagonalizable`` is False when their condition number
+    exceeds ``CONDITION_LIMIT``; ``left_vectors`` is then None, and otherwise
+    ``inv(right_vectors)``, whose rows are the matching left eigenvectors.
     """
 
     eigenvalues: np.ndarray
-    right_vectors: np.ndarray
-    left_vectors: np.ndarray | None
-    diagonalizable: bool
+    matrix: np.ndarray
 
     def __post_init__(self):
         n = self.eigenvalues.shape[0]
-        left = self.left_vectors
-        if self.right_vectors.shape != (n, n) or (left is not None and left.shape != (n, n)):
-            raise ValueError("eigenvector matrices must be square of matching size")
+        if self.eigenvalues.shape != (n,) or self.matrix.shape != (n, n):
+            raise ValueError("matrix must be square, of the eigenvalues' size")
+
+    @cached_property
+    def right_vectors(self) -> np.ndarray:
+        try:
+            w, vr = np.linalg.eig(self.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(str(exc)) from exc
+        vr = vr[:, _descending(w)]
+        return vr / np.linalg.norm(vr, axis=0)
+
+    @cached_property
+    def diagonalizable(self) -> bool:
+        cond = np.linalg.cond(self.right_vectors)
+        return bool(np.isfinite(cond) and cond <= CONDITION_LIMIT)
+
+    @cached_property
+    def left_vectors(self) -> np.ndarray | None:
+        return np.linalg.inv(self.right_vectors) if self.diagonalizable else None
+
+
+def _descending(w: np.ndarray) -> np.ndarray:
+    """The order of ``w`` by descending magnitude, real part, imaginary part."""
+    return np.lexsort((-w.imag, -w.real, -np.abs(w)))
 
 
 def matrix_exponential(h: Operator, t: float) -> Operator:
@@ -190,32 +209,47 @@ def matrix_exponential(h: Operator, t: float) -> Operator:
 
 
 def eig_general(v: Operator) -> Eigensystem:
-    """Eigendecomposition of a general complex matrix.
+    """Eigenvalues of a general complex matrix, by ``np.linalg.eigvals``.
 
-    Eigenvalues are sorted by descending magnitude with deterministic
+    They are sorted by descending magnitude with deterministic
     tie-breaking (descending real part, then descending imaginary part).
-    Right eigenvectors are normalized to unit Euclidean norm.  Left
-    eigenvectors are taken as the rows of the inverse of the right
-    eigenvector matrix, which makes the pairing exactly biorthonormal.
-    When that matrix is ill conditioned (condition number beyond
-    ``CONDITION_LIMIT``, which in particular captures colliding
-    eigenvalues without independent eigenvectors) the matrix is reported
-    as non-diagonalizable and carries no left vectors.
+    No eigenvector is formed here: the ``Eigensystem`` computes them on
+    first read, and ``_dominant_pair`` gives the dominant pair alone.
 
     Raises
     ------
     ConvergenceFailure
-        If the underlying QZ/QR iteration does not converge.
+        If the underlying QR iteration does not converge.
     """
     try:
-        w, vr = np.linalg.eig(v.entries)
+        w = np.linalg.eigvals(v.entries)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    order = np.lexsort((-w.imag, -w.real, -np.abs(w)))
-    w = w[order]
-    vr = vr[:, order]
-    vr = vr / np.linalg.norm(vr, axis=0)
-    cond = np.linalg.cond(vr)
-    diagonalizable = bool(np.isfinite(cond) and cond <= CONDITION_LIMIT)
-    left = np.linalg.inv(vr) if diagonalizable else None
-    return Eigensystem(w, vr, left, diagonalizable)
+    return Eigensystem(w[_descending(w)], v.entries)
+
+
+def _dominant_pair(m: np.ndarray, lam0: complex) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(r0, l0, s0)``: right and left eigenvectors of the simple eigenvalue
+    ``lam0`` of ``m`` by two steps of inverse iteration (Golub and Van Loan,
+    *Matrix Computations*, 4th ed., 7.6.1), from one ``B = inv(m - s I)``.
+
+    s = lam0 + d eps max(1, max|m|), so an exact lam0 leaves ``m - s I``
+    invertible.  ``r0`` starts from B's largest column, ``l0`` from its largest
+    row.  ``r0`` has unit norm and its largest-modulus entry real and positive
+    (LAPACK's rule), ``l0 @ r0 = 1``, and s0 = |l0| is lam0's Wilkinson condition.
+    ConvergenceFailure if ``m - s I`` is singular all the same.
+    """
+    d = m.shape[0]
+    shift = lam0 + d * np.finfo(float).eps * max(1.0, np.abs(m).max())
+    try:
+        b = np.linalg.inv(m - shift * np.eye(d))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+    x = b[:, np.argmax(np.linalg.norm(b, axis=0))]
+    y = b[np.argmax(np.linalg.norm(b, axis=1))]
+    for _ in range(2):
+        x, y = b @ (x / np.linalg.norm(x)), (y / np.linalg.norm(y)) @ b
+    top = x[np.argmax(np.abs(x))]
+    r0 = x * (abs(top) / top) / np.linalg.norm(x)
+    l0 = y / (y @ r0)
+    return r0, l0, float(np.linalg.norm(l0))

@@ -722,6 +722,9 @@ CONFIG_ERRORS = [
     ("shots-2**63", "shots", "readme", {"shots.shots": 2**63}, [], "shots.shots"),
     ("shots-option-0", "shots", "readme", {}, ["--shots", "0"], "shots.shots"),
     ("shots-option-2**63", "shots", "readme", {}, ["--shots", str(2**63)], "shots.shots"),
+    ("seed-negative", "shots", "readme", {"shots.seed": -1}, [], "shots.seed"),
+    ("seed-option-negative", "shots", "readme", {}, ["--seed", "-1"], "shots.seed"),
+    ("seed-option-2**64", "shots", "readme", {}, ["--seed", str(2**64)], "shots.seed"),
     ("n-steps-400-digit", "run", "readme", {"n_steps": 10**400}, [], "n_steps"),
     ("steps-option-10**30", "run", "readme", {}, ["--steps", str(10**30)], "n_steps"),
     ("sweep-count-400-digit", "sweep", "readme", {"sweep.count": 10**400}, [], "sweep.count"),
@@ -947,6 +950,34 @@ def test_only_state_commands_build_the_start(monkeypatch, command):
         assert cfg.target is None
 
 
+def test_spectral_paths_form_no_eigenvector_matrix(monkeypatch):
+    # the report needs the eigenvalues and the dominant pair alone: no eig, no
+    # cond, and at most one inv (the inverse iteration's) per report
+    calls = {"eig": 0, "cond": 0, "inv": 0, "report": 0}
+
+    def counted(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    for name in ("eig", "cond", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(cli, "spectral_report", counted("report", cli.spectral_report))
+    args = Namespace(out=None, steps=None, seed=None, shots=None)
+    p = ModelParams(omega=1.0, g=0.25, tau=TAU)
+    v = projected_evolution(cli.build_hamiltonian(p), p.tau, probe_spec(p))
+    rho_a = cli.DensityMatrix(cli.Operator(np.eye(4, dtype=complex) / 4.0))
+    assert cli.spectral_report(v, rho_a).yield_coefficient is not None
+    for config in ("readme.json", "custom_rounded.json"):
+        cli.cmd_spectrum(load_config(str(GOLDEN / config), "spectrum", args))
+    for config in ("readme.json", "sweep_alpha.json"):
+        cli.cmd_sweep(load_config(str(GOLDEN / config), "sweep", args))
+    assert calls["report"] == 1 + 2 + 9 + 8
+    assert calls["eig"] == 0 and calls["cond"] == 0
+    assert calls["inv"] <= calls["report"]
+
+
 def test_shots_reads_target(tmp_path, capsys):
     # shots prints no fidelity but loads the target, as run does, so one
     # loaded config serves both commands
@@ -1007,11 +1038,13 @@ SHOTS_ARGV = ["shots", "--seed", "7", "--shots", "2000"]
         # a 2 x 6 custom system whose rank-2 start, rounded to 12 decimals,
         # leaves rho'_A four noise eigenvalues of about +-1e-12
         ("custom_rounded.json", ["run"], "custom_rounded_run.csv"),
+        # the spectrum of a V that is not the model's
+        ("custom_rounded.json", ["spectrum"], "custom_rounded_spectrum.json"),
         ("custom_rounded.json", SHOTS_ARGV, "custom_rounded_shots_seed7_2000.csv"),
     ],
     ids=[
         "run", "spectrum", "sweep", "sweep-alpha", "shots", "custom-rounded-run",
-        "custom-rounded-shots",
+        "custom-rounded-spectrum", "custom-rounded-shots",
     ],
 )
 def test_readme_config_golden_bytes(tmp_path, capsys, config, argv, golden):

@@ -680,13 +680,88 @@ def test_spectral_report_yield_needs_unique_diagonalizable_dominance():
     report = spectral_report(Operator(np.eye(4, dtype=complex)), rho4)
     assert report.yield_coefficient is None
 
-    # unique dominant eigenvalue 1, defective block at 0.5 below it
+    # unique dominant eigenvalue 1, defective block at 0.5 below it: V is not
+    # diagonalizable, but lambda0 is simple, so its left vector gives the yield
+    # <l0|rho|l0> = 1/3, which P(N) reaches exactly from N = 50 on
     tail = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]], dtype=complex)
     rho3 = DensityMatrix(Operator(np.eye(3, dtype=complex) / 3.0))
     report = spectral_report(Operator(tail), rho3)
     assert report.dominant_unique
     assert not report.eigensystem.diagonalizable
+    assert report.yield_coefficient == pytest.approx(1.0 / 3.0, rel=0.0, abs=1e-12)
+
+
+def eig_inv_reference(v, rho):
+    """The dominant pair and yield from a full ``eig`` and ``inv``: r0 is the
+    unit right vector, l0 the first row of the inverse of the unit columns."""
+    w, vr = np.linalg.eig(v)
+    order = np.lexsort((-w.imag, -w.real, -np.abs(w)))
+    w, vr = w[order], vr[:, order] / np.linalg.norm(vr[:, order], axis=0)
+    l0 = np.linalg.inv(vr)[0]
+    return vr[:, 0], float(np.real(l0 @ rho @ l0.conj())), np.linalg.cond(vr), np.abs(w)
+
+
+def random_density(rng, d):
+    b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = b @ b.conj().T
+    return DensityMatrix(Operator(rho / np.trace(rho).real))
+
+
+def dominant_pair_matches(v, rho):
+    """False where the reference is undefined (no unique dominance, or its
+    eigenvector matrix beyond CONDITION_LIMIT); else assert the match, True."""
+    report = spectral_report(Operator(v), rho)
+    r_ref, yield_ref, cond_ref, mags = eig_inv_reference(v, rho.entries)
+    if not report.dominant_unique or cond_ref > engine.CONDITION_LIMIT:
+        return False
+    s0 = report.dominant_condition
+    bound = 1e-14 * s0 / (mags[0] - mags[1]) + 1e-12
+    assert abs(report.yield_coefficient - yield_ref) <= bound * abs(yield_ref)
+    assert 1.0 - abs(np.vdot(r_ref, report.asymptotic_state)) <= bound
+    assert np.linalg.norm(report.asymptotic_state) == pytest.approx(1.0, abs=1e-14)
+    return True
+
+
+@pytest.mark.parametrize("d", [2, 4, 16, 64, 256])
+def test_dominant_pair_matches_full_eigendecomposition(d):
+    rng = np.random.default_rng(1000 + d)
+    for _ in range(6 if d < 256 else 2):
+        v = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2.0 * d)
+        assert dominant_pair_matches(v, random_density(rng, d))
+
+
+def test_dominant_pair_matches_full_eigendecomposition_on_model_tau_scan():
+    from zenopur.model3q import build_hamiltonian, probe_spec
+
+    p = ModelParams(omega=1.0, g=0.25, tau=1.0)
+    h, probe = build_hamiltonian(p), probe_spec(p)
+    rho = DensityMatrix.pure(UP_DOWN)
+    taus = np.linspace(4.0 * np.pi, 0.0, 300, endpoint=False)
+    compared = [dominant_pair_matches(projected_evolution(h, t, probe).entries, rho) for t in taus]
+    assert sum(compared) >= 150
+
+
+def test_dominant_pair_of_an_exact_eigenvalue():
+    # lambda0 = 1 is exact in floating point: the shift keeps V - s I invertible
+    rho = DensityMatrix(Operator(np.diag([0.3, 0.7]).astype(complex)))
+    report = spectral_report(Operator(np.diag([1.0, 0.5]).astype(complex)), rho)
+    np.testing.assert_array_equal(report.asymptotic_state, [1.0, 0.0])
+    assert report.yield_coefficient == pytest.approx(0.3, rel=1e-15)
+    assert report.dominant_condition == pytest.approx(1.0, rel=1e-15)
+
+
+def test_nearly_defective_dominant_eigenvalue_gives_no_yield():
+    v = Operator(np.array([[1.0, 1e9], [0.0, 1.0 - 1e-4]], dtype=complex))
+    rho = DensityMatrix(Operator(np.eye(2, dtype=complex) / 2.0))
+    report = spectral_report(v, rho)
+    assert report.dominant_unique
+    assert report.dominant_condition > engine.CONDITION_LIMIT
     assert report.yield_coefficient is None
+
+
+def test_degenerate_dominance_has_no_dominant_condition():
+    report = spectral_report(Operator(np.eye(3, dtype=complex)))
+    assert report.dominant_condition is None and report.asymptotic_state is None
 
 
 def test_efficiency_check_examples():
