@@ -24,7 +24,10 @@ objects built only when read.
 V is built from the probe rows of the Hamiltonian's cached Hermitian
 spectrum (``Operator.hermitian_spectrum``), never from the full
 propagator: every call on the same ``H`` object, at any tau, shares one
-eigendecomposition.
+eigendecomposition.  Likewise rho'_A depends on the state and the probe
+alone, so its ensemble is kept on the ``DensityMatrix``: rho'_A is
+diagonalized once per state and probe, whatever H and tau, and a failed
+check is not kept but raises again on every call.
 """
 
 from __future__ import annotations
@@ -90,7 +93,9 @@ class DensityMatrix:
     """Validated density matrix wrapper.
 
     Construction checks Hermiticity (``linalg._hermitian_part``), then
-    positive semidefiniteness and unit trace within ``STATE_TOL``.
+    positive semidefiniteness and unit trace within ``STATE_TOL``.  The
+    entries are read-only, so ``condition`` keeps the ensemble of rho'_A for
+    the last probe on the instance (no field; a failed check is not kept).
     """
 
     op: Operator
@@ -307,6 +312,8 @@ def condition(
     a smaller p0 is left to ``evolve``, which rejects it.  Only the members
     lambda_k > STATE_TOL * max(p0, 0) are kept, all positive at any p0, and
     as V is a contraction the cut moves P(n) by at most sum_dropped |lambda_k|.
+    rho'_A is diagonalized once per state and probe: later calls with an
+    equal probe, at any H and tau, reuse its arrays (a failed check is not kept).
 
     Raises
     ------
@@ -314,6 +321,16 @@ def condition(
         A ValueError, if rho'_A / p0 has an eigenvalue below -STATE_TOL.
     """
     v = projected_evolution(h_tot, tau, probe)
+    return Conditioned(v, *_ensemble(rho_tot, probe))
+
+
+def _ensemble(rho_tot: DensityMatrix, probe: ProbeSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(weights, members, p0)`` of ``condition``, kept on ``rho_tot`` for the
+    last probe (one slot, keyed by its value); a failed check is not kept."""
+    key = (probe.dim_x, probe.dim_a, probe.phi_x.tobytes())
+    slot = rho_tot.__dict__.get("_ensemble")
+    if slot is not None and slot[0] == key:
+        return slot[1]
     block = probe_block(rho_tot, probe)
     weights, members = np.linalg.eigh(block)
     p0 = float(np.trace(block).real)
@@ -323,7 +340,8 @@ def condition(
     weights, members = weights[kept], members[:, kept]
     weights.setflags(write=False)
     members.setflags(write=False)
-    return Conditioned(v, weights, members, p0)
+    rho_tot.__dict__["_ensemble"] = key, (weights, members, p0)
+    return weights, members, p0
 
 
 def condition_on_probe(

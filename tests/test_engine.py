@@ -27,6 +27,7 @@ from zenopur.exceptions import (
     DimensionMismatch,
     NoDominantEigenvalue,
     NonHermitianInput,
+    NotPositiveSemidefinite,
     ZeroProbability,
 )
 from zenopur.linalg import Operator, matrix_exponential
@@ -316,28 +317,95 @@ def test_non_hermitian_hamiltonian_rejected_on_every_call():
             projected_evolution(h, 1.0, probe)
 
 
+def counted_eigh(monkeypatch, dim):
+    """A list that gets one entry per ``np.linalg.eigh`` call at ``dim``."""
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(m, *args, **kwargs):
+        if np.shape(m)[-1] == dim:
+            calls.append(1)
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
 def test_one_hermitian_eigendecomposition_per_hamiltonian(monkeypatch):
     rng = np.random.default_rng(53)
     dim_x, dim_a = 2, 3
     h = Operator(rand_hermitian(rng, dim_x * dim_a), (dim_x, dim_a))
     probe = ProbeSpec(rand_state(rng, dim_x), dim_x, dim_a)
     rho = DensityMatrix(Operator(rand_density(rng, dim_x * dim_a), (dim_x, dim_a)))
-    calls = []
-    original = np.linalg.eigh
-
-    def counted(m, *args, **kwargs):
-        # the sampler's own eigh of rho'_A runs at dim_a and is not counted
-        if np.shape(m)[-1] == dim_x * dim_a:
-            calls.append(1)
-        return original(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    h_calls = counted_eigh(monkeypatch, dim_x * dim_a)
+    block_calls = counted_eigh(monkeypatch, dim_a)
     matrix_exponential(h, 0.3)
     for tau in (0.3, 1.1, 2.9):
         projected_evolution(h, tau, probe)
-    run_protocol(rho, h, 1.1, probe, 3)
+    for tau in (0.3, 1.1, 2.9):
+        run_protocol(rho, h, tau, probe, 3)
     run_shots(rho, h, 1.1, probe, ShotConfig(shots=50, seed=3, n_steps=3))
+    # one eigh per Hamiltonian, and one of rho'_A per state and probe, at any tau
+    assert len(h_calls) == 1 and len(block_calls) == 1
+
+
+def test_conditioning_ensemble_is_kept_for_one_probe_per_state(monkeypatch):
+    rng = np.random.default_rng(59)
+    dim_x, dim_a = 2, 3
+    h = Operator(rand_hermitian(rng, dim_x * dim_a), (dim_x, dim_a))
+    rho = DensityMatrix(Operator(rand_density(rng, dim_x * dim_a), (dim_x, dim_a)))
+    first, second = (ProbeSpec(rand_state(rng, dim_x), dim_x, dim_a) for _ in range(2))
+    shown = repr(rho)
+    calls = counted_eigh(monkeypatch, dim_a)
+    a = condition(rho, h, 0.7, first)
+    # an equal probe built anew hits the cache, at another tau
+    b = condition(rho, h, 1.9, ProbeSpec(first.phi_x.copy(), dim_x, dim_a))
     assert len(calls) == 1
+    assert b.weights is a.weights and b.members is a.members and b.p0 == a.p0
+    condition(rho, h, 0.7, second)
+    assert len(calls) == 2
+    # one slot: going back to the first probe diagonalizes again
+    c = condition(rho, h, 0.7, first)
+    assert len(calls) == 3
+    np.testing.assert_array_equal(c.weights, a.weights)
+    np.testing.assert_array_equal(c.members, a.members)
+    # an equal but distinct DensityMatrix has its own cache
+    condition(DensityMatrix(Operator(rho.entries, (dim_x, dim_a))), h, 0.7, first)
+    assert len(calls) == 4
+    assert repr(rho) == shown
+
+
+def test_failed_conditioning_checks_raise_on_every_call(monkeypatch):
+    # rho_tot passes STATE_TOL, but rho'_A / p0 has the eigenvalue -5e-11 / 1e-3
+    rho = DensityMatrix(Operator(np.diag([1e-3 + 5e-11, -5e-11, 1.0 - 1e-3, 0.0]), (2, 2)))
+    h = Operator(np.zeros((4, 4)), (2, 2))
+    probe = ProbeSpec(np.array([1.0, 0.0]), 2, 2)
+    calls = counted_eigh(monkeypatch, 2)
+    for _ in range(2):
+        with pytest.raises(NotPositiveSemidefinite, match="-5.000e-08"):
+            condition(rho, h, 1.0, probe)
+    assert len(calls) == 2
+    # a state of the wrong dimension, on a Hamiltonian that fits the probe
+    wide = DensityMatrix(Operator(np.eye(6) / 6.0))
+    for _ in range(2):
+        with pytest.raises(DimensionMismatch, match="state dimension 6"):
+            condition(wide, h, 1.0, probe)
+
+
+def test_one_conditioning_ensemble_is_held_after_many_probes(monkeypatch):
+    rng = np.random.default_rng(61)
+    dim_x, dim_a = 2, 32
+    h = Operator(rand_hermitian(rng, dim_x * dim_a), (dim_x, dim_a))
+    rho = DensityMatrix(Operator(rand_density(rng, dim_x * dim_a), (dim_x, dim_a)))
+    calls = counted_eigh(monkeypatch, dim_a)
+    for _ in range(50):
+        system = condition(rho, h, 0.4, ProbeSpec(rand_state(rng, dim_x), dim_x, dim_a))
+    assert len(calls) == 50
+    # the state holds its entries and one ensemble, the last probe's
+    held = {k: v for k, v in vars(rho).items() if k != "op"}
+    assert len(held) == 1
+    (_, ensemble), = held.values()
+    assert ensemble[0] is system.weights and ensemble[1] is system.members
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +809,27 @@ def test_dominant_pair_matches_full_eigendecomposition_on_model_tau_scan():
     assert sum(compared) >= 150
 
 
+def test_dominant_pair_resolves_a_close_gap_under_non_normality():
+    # V = R diag(lambda) R^-1 with lambda1 = 0.99 - gap just below lambda0 = 0.99
+    # and R = I + c (strict upper Gaussian) / d: B's largest column and row
+    # alone miss the bound on some of these draws, the inverse-iteration
+    # steps meet it on all
+    rng = np.random.default_rng(0)
+    compared = 0
+    for _ in range(100):
+        d = int(rng.choice([4, 8, 16]))
+        gap, c = 10.0 ** rng.uniform(-8, -3), 10.0 ** rng.uniform(0, 3)
+        lam = np.empty(d, dtype=complex)
+        lam[0], lam[1] = 0.99, 0.99 - gap
+        phases = np.exp(2j * np.pi * rng.uniform(size=d - 2))
+        lam[2:] = 0.9 * lam[1] * rng.uniform(size=d - 2) * phases
+        upper = np.triu(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), 1)
+        r = np.eye(d) + c * upper / d
+        v = r @ np.diag(lam) @ np.linalg.inv(r)
+        compared += dominant_pair_matches(v, random_density(rng, d))
+    assert compared >= 60
+
+
 def test_dominant_pair_of_an_exact_eigenvalue():
     # lambda0 = 1 is exact in floating point: the shift keeps V - s I invertible
     rho = DensityMatrix(Operator(np.diag([0.3, 0.7]).astype(complex)))
@@ -874,6 +963,19 @@ def test_protocol_invariants_over_random_inputs(inputs):
         assert np.max(np.abs(m - m.conj().T)) <= 1e-10
         assert np.linalg.eigvalsh(m).min() >= -1e-10
         assert abs(np.trace(m).real - 1.0) <= 1e-10
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(protocol_inputs())
+def test_warm_conditioning_equals_fresh_conditioning(inputs):
+    rho, h, tau, probe = inputs
+    condition(rho, h, tau + 1.0, probe)
+    warm = condition(rho, h, tau, probe)
+    fresh = condition(DensityMatrix(Operator(rho.entries.copy(), rho.op.factors)), h, tau, probe)
+    assert warm.p0 == fresh.p0
+    for name in ("weights", "members"):
+        assert np.array_equal(getattr(warm, name), getattr(fresh, name))
+    assert np.array_equal(warm.v.entries, fresh.v.entries)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
