@@ -18,8 +18,9 @@ rho'_A = <phi|rho_tot|phi> once, as one ``Conditioned`` system that
 rho_A = W W^dag for W = [u_k sqrt(lambda_k / p0)], so n confirmations map
 it to V^n W (V^n W)^dag.  ``Conditioned.orbit``, the one place V^n is
 applied, yields V^n W to ``evolve`` and V^n u_k to the sampler.  The trace
-is columnar: arrays of P(n), the fidelity and the states, with per-step
-objects built only when read.
+is columnar: P(n) = p0 |V^n W|_F^2 and the fidelity |t^dag V^n W|^2 / |V^n W|_F^2
+come from the kept factors V^n W (d x r each), and the d x d states and the
+per-step objects are built only when read.
 
 V is built from the probe rows of the Hamiltonian's cached Hermitian
 spectrum (``Operator.hermitian_spectrum``), never from the full
@@ -173,14 +174,24 @@ class ProtocolTrace:
 
     ``success_prob[n]`` is P(n), ``fidelity[n]`` the fidelity to the
     target (``fidelity`` is None when no target was supplied) and
-    ``states[n]`` the (dim_a x dim_a) conditional state; all three arrays
-    are read-only.  ``steps`` builds one ``ProtocolStep`` per row on first
-    read.
+    ``factors[n]`` the (dim_a x r) factor W_n = V^n W of the conditional
+    state; all three arrays are read-only.  ``states`` (the (dim_a x dim_a)
+    states W_n W_n^dag / Tr[...], read-only) and ``steps`` (one
+    ``ProtocolStep`` per row) are built on first read.
     """
 
     success_prob: np.ndarray
     fidelity: np.ndarray | None
-    states: np.ndarray
+    factors: np.ndarray
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        states = self.factors @ self.factors.conj().transpose(0, 2, 1)
+        # divide the (re, im) pairs as reals: correctly rounded, and much
+        # cheaper than numpy's complex division by q + 0j
+        states.view(float)[...] /= np.einsum("nii->n", states).real[:, None, None]
+        states.setflags(write=False)
+        return states
 
     @cached_property
     def steps(self) -> tuple[ProtocolStep, ...]:
@@ -364,15 +375,13 @@ def condition_on_probe(
     return DensityMatrix(Operator(block / p0)), p0
 
 
-def _overlaps(t: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """<t| m |t> for every matrix m of ``stack``, clipped to [0, 1].
-
-    ``t`` is a checked unit vector.  Each value is computed alone, so it
-    has the same bits whatever the length of the stack.
-    """
-    mt = np.einsum("nij,j->ni", stack, t)
-    vals = np.einsum("ni,ni->n", np.broadcast_to(t.conj(), mt.shape), mt).real
-    return np.clip(vals, 0.0, 1.0)
+def _sum_squares(z: np.ndarray, subscripts: str, out: np.ndarray | None = None) -> np.ndarray:
+    """sum |z|^2 over the axes that ``subscripts`` ("nij->n") drops, from the
+    real and imaginary views: no complex temporary."""
+    spec = "{0},{0}->{1}".format(*subscripts.split("->"))
+    out = np.einsum(spec, z.real, z.real, out=out)
+    out += np.einsum(spec, z.imag, z.imag)
+    return out
 
 
 def _as_target(value, dim: int) -> np.ndarray:
@@ -384,7 +393,8 @@ def fidelity(rho: DensityMatrix | Operator, target: np.ndarray) -> float:
     """Fidelity <target| rho |target> against a pure state of shape
     ``(rho.dim,)`` and unit norm within 1e-8."""
     t = _as_target(target, rho.dim)
-    return float(_overlaps(t, rho.entries[None])[0])
+    mt = np.einsum("ij,j->i", rho.entries, t)
+    return float(np.clip(np.einsum("i,i->", t.conj(), mt).real, 0.0, 1.0))
 
 
 def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) -> ProtocolTrace:
@@ -399,9 +409,11 @@ def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) 
     within sum_dropped |lambda_k| of that of the whole rho'_A.
 
     For each block of W_n = V^n W from ``system.orbit`` (module docstring),
-    the states W_n W_n^dag / Tr[...] and the fidelity column are built at
-    once.  ``target`` gets the shape and unit-norm check of ``fidelity``
-    (and its DimensionMismatch or ValueError) once, before the loop.
+    P(n) = p0 |W_n|_F^2 and the fidelity |t^dag W_n|^2 / |W_n|_F^2 are taken at
+    once, and the block is kept as the trace's ``factors``: a step holds d r
+    complex numbers, and d^2 more only once ``states`` is read.  ``target``
+    gets the shape and unit-norm check of ``fidelity`` (and its
+    DimensionMismatch or ValueError) once, before the loop.
 
     Raises
     ------
@@ -410,8 +422,7 @@ def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) 
         survival probability underflows ``SURVIVAL_FLOOR``.
     """
     n_steps = _as_index(n_steps, "n_steps", 0)
-    d = system.v.dim
-    t = None if target is None else _as_target(target, d)
+    t = None if target is None else _as_target(target, system.v.dim)
     p0 = system.p0
     if p0 < P0_FLOOR:
         raise ZeroProbability(f"probe outcome probability {p0:.3e} vanishes")
@@ -420,12 +431,10 @@ def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) 
     with _allocating("n_steps", n_steps):
         probs = np.empty(n_steps + 1)
         fids = None if t is None else np.empty(n_steps + 1)
-        states = np.empty((n_steps + 1, d, d), dtype=complex)
+        factors = np.empty((n_steps + 1,) + w.shape, dtype=complex)
     for start, wb in system.orbit(w, n_steps):
         stop = start + len(wb)
-        out = states[start:stop]
-        np.matmul(wb, wb.conj().transpose(0, 2, 1), out=out)
-        q = np.einsum("nii->n", out).real
+        q = _sum_squares(wb, "nij->n")
         p = p0 * q
         # checked before dividing by q, so no 0/0 can occur
         low = np.flatnonzero(p < SURVIVAL_FLOOR)
@@ -434,16 +443,13 @@ def evolve(system: Conditioned, n_steps: int, target: np.ndarray | None = None) 
                 f"survival probability underflowed at step {start + low[0]}"
             )
         probs[start:stop] = p
-        # divide the (re, im) pairs as reals: correctly rounded, and much
-        # cheaper than numpy's complex division by q + 0j
-        re_im = out.view(float)
-        re_im /= q[:, None, None]
+        factors[start:stop] = wb
         if t is not None:
-            fids[start:stop] = _overlaps(t, out)
-    for col in (probs, fids, states):
+            fids[start:stop] = np.clip(_sum_squares(t.conj() @ wb, "nj->n") / q, 0.0, 1.0)
+    for col in (probs, fids, factors):
         if col is not None:
             col.setflags(write=False)
-    return ProtocolTrace(probs, fids, states)
+    return ProtocolTrace(probs, fids, factors)
 
 
 def run_protocol(

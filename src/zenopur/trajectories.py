@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Conditioned, DensityMatrix, ProbeSpec, condition
+from .engine import Conditioned, DensityMatrix, ProbeSpec, _sum_squares, condition
 from .linalg import Operator, _allocating, _as_index
 from .linalg import matrix_exponential  # noqa: F401  traced by name in bench/worker.py
 
@@ -97,10 +97,7 @@ def _member_survival(system: Conditioned, n_steps: int) -> tuple[np.ndarray, np.
     with _allocating("n_steps", n_steps):
         table = np.empty((u.shape[1], n_steps + 1))
     for start, stack in system.orbit(u, n_steps):
-        # |V^n u_j|^2 from the real and imaginary views: no complex temporary
-        norms = table[:, start : start + len(stack)]
-        np.einsum("naj,naj->jn", stack.real, stack.real, out=norms)
-        norms += np.einsum("naj,naj->jn", stack.imag, stack.imag)
+        _sum_squares(stack, "naj->jn", out=table[:, start : start + len(stack)])
     norm = np.sqrt(table[:, -1:])
     final = np.divide(stack[-1].T, norm, out=np.zeros(u.shape[::-1], complex), where=norm > 0.0)
     table[:, 0] = 1.0
