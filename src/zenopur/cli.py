@@ -136,7 +136,7 @@ def _checked(path, build, *args):
         raise ConfigError(path, str(exc)) from None
 
 
-def _as_int(value, path, low=None, end=2**63) -> int:
+def _as_int(value, path, low, end=2**63) -> int:
     return _checked(path, _as_index, value, path.rpartition(".")[2], low, end)
 
 

@@ -64,7 +64,7 @@ def _check_psd(evals: np.ndarray) -> None:
         raise NotPositiveSemidefinite(f"density matrix has negative eigenvalue {evals.min():.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeSpec:
     """Probe state and the dimension split of the total space.
 
@@ -89,7 +89,7 @@ class ProbeSpec:
         return self.dim_x * self.dim_a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated density matrix wrapper.
 
@@ -127,13 +127,14 @@ class DensityMatrix:
         return self.op.dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralReport:
     """Spectral diagnostics of a projected evolution operator.
 
-    ``eigensystem`` holds the eigenvalues (and the vectors only if read).
-    ``dominant_index`` points at the top of the magnitude-sorted spectrum
-    and is None only when the whole spectrum vanishes.  ``dominant_unique``
+    ``eigensystem`` holds the sorted eigenvalues, and the dominant pair is
+    the only eigenvector pair the report computes.  ``dominant_index``
+    points at the top of the magnitude-sorted spectrum and is None only
+    when the whole spectrum vanishes.  ``dominant_unique``
     is False whenever the two largest magnitudes agree within
     ``DOMINANCE_TOL``.  Given unique dominance, ``asymptotic_state`` is the
     unit right eigenvector r0 of lambda0 and ``dominant_condition`` is
@@ -153,7 +154,7 @@ class SpectralReport:
     dominant_condition: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolStep:
     """State of the protocol after n successful probe measurements.
 
@@ -167,7 +168,7 @@ class ProtocolStep:
     fidelity: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolTrace:
     """Protocol history for n = 0 .. n_steps as columns, step 0 being the
     prepared state.
@@ -265,7 +266,7 @@ def probe_block(rho_tot: DensityMatrix, probe: ProbeSpec) -> np.ndarray:
     return (raw + raw.conj().T) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Conditioned:
     """The conditioned system of one config, built by ``condition``.
 

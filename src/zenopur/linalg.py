@@ -30,13 +30,13 @@ HERMITICITY_TOL = 1e-10
 CONDITION_LIMIT = 1e8
 
 
-def _as_index(value, name: str, low: int | None = None, end: int = 2**63) -> int:
-    """``value`` as an int: any integer, numpy's too, but no bool or float; given
-    ``low``, a count ``low <= value < end`` (2**63: numpy lengths and int64 stop)."""
+def _as_index(value, name: str, low: int, end: int = 2**63) -> int:
+    """``value`` as an int: any integer, numpy's too, but no bool or float, and
+    a count ``low <= value < end`` (2**63: numpy lengths and int64 stop)."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
     x = operator.index(value)
-    if low is not None and not low <= x < end:
+    if not low <= x < end:
         raise ValueError(f"{name} must be at least {low} and less than {end}")
     return x
 
@@ -86,7 +86,7 @@ def _hermitian_part(m: np.ndarray, name: str) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
     """Square complex matrix on a tensor product of subsystems.
 
@@ -145,44 +145,14 @@ class Operator:
         return w, q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eigensystem:
-    """Sorted eigenvalues of a general (possibly non-normal) matrix; its
-    eigenvectors are computed from the read-only ``matrix`` on first read.
-
-    ``eigenvalues`` are sorted by descending magnitude, ties broken by
-    descending real part and then descending imaginary part.  Columns of
-    ``right_vectors`` are unit-norm right eigenvectors (``np.linalg.eig``,
-    sorted alike).  ``diagonalizable`` is False when their condition number
-    exceeds ``CONDITION_LIMIT``; ``left_vectors`` is then None, and otherwise
-    ``inv(right_vectors)``, whose rows are the matching left eigenvectors.
-    """
+    """Eigenvalues of a general (possibly non-normal) matrix, sorted by
+    descending magnitude, then descending real and imaginary part.  No
+    eigenvector is kept: full ones come from one ``np.linalg.eig`` call, read
+    with that call's own eigenvalues, which alone pair with its columns."""
 
     eigenvalues: np.ndarray
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        n = self.eigenvalues.shape[0]
-        if self.eigenvalues.shape != (n,) or self.matrix.shape != (n, n):
-            raise ValueError("matrix must be square, of the eigenvalues' size")
-
-    @cached_property
-    def right_vectors(self) -> np.ndarray:
-        try:
-            w, vr = np.linalg.eig(self.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(str(exc)) from exc
-        vr = vr[:, _descending(w)]
-        return vr / np.linalg.norm(vr, axis=0)
-
-    @cached_property
-    def diagonalizable(self) -> bool:
-        cond = np.linalg.cond(self.right_vectors)
-        return bool(np.isfinite(cond) and cond <= CONDITION_LIMIT)
-
-    @cached_property
-    def left_vectors(self) -> np.ndarray | None:
-        return np.linalg.inv(self.right_vectors) if self.diagonalizable else None
 
 
 def _descending(w: np.ndarray) -> np.ndarray:
@@ -200,11 +170,14 @@ def matrix_exponential(h: Operator, t: float) -> Operator:
 
     Raises
     ------
+    ValueError
+        If ``t`` is not a real number, or is a bool, infinite or NaN (see
+        ``_as_real``; a negative ``t`` is allowed).
     NonHermitianInput
         If ``max |h - h^dag|`` exceeds ``HERMITICITY_TOL``.
     """
     w, q = h.hermitian_spectrum
-    u = (q * np.exp(-1j * w * float(t))) @ q.conj().T
+    u = (q * np.exp(-1j * w * _as_real(t, "t"))) @ q.conj().T
     return Operator(u, h.factors)
 
 
@@ -213,8 +186,7 @@ def eig_general(v: Operator) -> Eigensystem:
 
     They are sorted by descending magnitude with deterministic
     tie-breaking (descending real part, then descending imaginary part).
-    No eigenvector is formed here: the ``Eigensystem`` computes them on
-    first read, and ``_dominant_pair`` gives the dominant pair alone.
+    No eigenvector is formed: ``_dominant_pair`` gives the dominant pair.
 
     Raises
     ------
@@ -225,7 +197,7 @@ def eig_general(v: Operator) -> Eigensystem:
         w = np.linalg.eigvals(v.entries)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    return Eigensystem(w[_descending(w)], v.entries)
+    return Eigensystem(w[_descending(w)])
 
 
 def _dominant_pair(m: np.ndarray, lam0: complex) -> tuple[np.ndarray, np.ndarray, float]:

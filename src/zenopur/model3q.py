@@ -60,7 +60,7 @@ class ModelParams:
         probe_spec(self)  # the probe's own rule, on the same alpha and beta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BellBasis:
     """Orthonormal basis of the A (x) B space adapted to the model.
 

@@ -70,7 +70,7 @@ class ShotConfig:
             object.__setattr__(self, name, _as_index(getattr(self, name), name, low, end))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShotSummary:
     """Survivor counts per step, their frequencies, and the averaged
     target state over the trajectories that survived every measurement

@@ -209,7 +209,7 @@ def test_criterion_6_contraction_and_yield_law():
     rho0 = trace.steps[0].state
     v = projected_evolution(build_hamiltonian(REF), REF.tau, probe_spec(REF))
     report = spectral_report(v)
-    u0 = report.eigensystem.right_vectors[:, report.dominant_index]
+    u0 = report.asymptotic_state
     lam0 = abs(report.eigensystem.eigenvalues[report.dominant_index])
     weight = np.real(u0.conj() @ rho0.entries @ u0)
     predicted = lam0 ** 40 * weight * p0

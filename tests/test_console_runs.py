@@ -1,11 +1,14 @@
-"""Long runs, huge counts and the demos, each as a fresh Python process.
+"""Long runs, huge counts, the demos and the README's examples, each as a
+fresh Python process.
 
 Every process runs with one BLAS thread, the condition under which the
 printed bytes are reproducible, and imports the package from ``src``.
 """
 
+import ast
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +45,20 @@ def test_demo_prints_its_golden(demo):
     proc = python("-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning", str(demo))
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / f"demo_{demo.stem}.txt").read_bytes()
+
+
+def test_readme_examples_print_what_their_comments_show():
+    # the README's python blocks in order, as one script: the second reuses
+    # the first's state and parameters
+    code = "\n".join(re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S))
+    shown = re.findall(r"^print\(.*\)\s+# (.+)$", code, re.M)
+    proc = python("-W", "error::RuntimeWarning", "-c", code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    fid, prob, mags = proc.stdout.decode().splitlines()
+    assert len(shown) == 3
+    assert fid.startswith(shown[0].rstrip(".")) and prob.startswith(shown[1].rstrip("."))
+    got = [float(x) for x in mags.strip("[]").split()]
+    np.testing.assert_allclose(got, ast.literal_eval(shown[2]), rtol=0.0, atol=1e-3)
 
 
 def test_long_run_crosses_the_state_block():

@@ -156,6 +156,18 @@ def test_probe_spec_stores_numpy_integer_dimensions_as_ints():
     assert {type(probe.dim_x), type(probe.dim_a)} == {int}
 
 
+def test_array_holding_values_compare_by_identity():
+    values = [
+        Operator(np.eye(2)), Operator(np.eye(2)),
+        Operator(np.ones((1, 1))), Operator(np.ones((1, 1))),
+        ProbeSpec(RIGHT, 2, 4), ProbeSpec(RIGHT, 2, 4),
+    ]
+    for i, a in enumerate(values):
+        assert a == a
+        assert all(a != b for b in values[i + 1 :])
+    assert len(set(values)) == len(values)
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix(Operator(np.array([[0.5, 0.5], [-0.5, 0.5]], dtype=complex)))
@@ -811,7 +823,7 @@ def test_spectral_report_yield_needs_unique_diagonalizable_dominance():
     rho3 = DensityMatrix(Operator(np.eye(3, dtype=complex) / 3.0))
     report = spectral_report(Operator(tail), rho3)
     assert report.dominant_unique
-    assert not report.eigensystem.diagonalizable
+    assert np.linalg.cond(np.linalg.eig(tail)[1]) > engine.CONDITION_LIMIT
     assert report.yield_coefficient == pytest.approx(1.0 / 3.0, rel=0.0, abs=1e-12)
 
 
@@ -846,12 +858,27 @@ def dominant_pair_matches(v, rho):
     return True
 
 
+def conjugate_pair_operator(rng, d):
+    """Real V = Q C Q^-1: C is 1, then 2 x 2 blocks r [[cos t, -sin t], [sin t,
+    cos t]] with r in (0.1, 0.9) (one real r fills an even d), and Q = I +
+    N(0, 1) / (2 sqrt d).  Below lambda0 = 1 the magnitudes tie in conjugate pairs."""
+    core = np.diag(np.r_[1.0, np.zeros(d - 2), rng.uniform(0.1, 0.9)])
+    for k in range(1, d - 1, 2):
+        r, t = rng.uniform(0.1, 0.9), rng.uniform(0.0, np.pi)
+        core[k : k + 2, k : k + 2] = r * np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    q = np.eye(d) + rng.normal(size=(d, d)) / (2.0 * np.sqrt(d))
+    return q @ core @ np.linalg.inv(q)
+
+
 @pytest.mark.parametrize("d", [2, 4, 16, 64, 256])
 def test_dominant_pair_matches_full_eigendecomposition(d):
     rng = np.random.default_rng(1000 + d)
     for _ in range(6 if d < 256 else 2):
         v = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2.0 * d)
         assert dominant_pair_matches(v, random_density(rng, d))
+    if d in (64, 256):
+        for _ in range(3):
+            assert dominant_pair_matches(conjugate_pair_operator(rng, d), random_density(rng, d))
 
 
 def test_dominant_pair_matches_full_eigendecomposition_on_model_tau_scan():

@@ -3,7 +3,6 @@ import pytest
 
 from zenopur.exceptions import ConvergenceFailure, NonHermitianInput
 from zenopur.linalg import (
-    Eigensystem,
     Operator,
     eig_general,
     matrix_exponential,
@@ -127,6 +126,19 @@ def test_matrix_exponential_accepts_tiny_asymmetry():
     matrix_exponential(Operator(h), 1.0)
 
 
+@pytest.mark.parametrize("t", [True, "2", np.nan, np.inf])
+def test_matrix_exponential_time_is_a_finite_real(t):
+    h = Operator(np.diag([0.0, 1.0]).astype(complex))
+    with pytest.raises(ValueError, match=r"^t must be"):
+        matrix_exponential(h, t)
+
+
+def test_matrix_exponential_accepts_negative_time():
+    h = Operator(np.diag([0.0, 1.0]).astype(complex))
+    u = matrix_exponential(h, -np.pi / 2).entries
+    np.testing.assert_allclose(u, np.diag([1.0, 1j]), atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # hermitian_spectrum: computed once per Operator, read-only, never stale
 
@@ -190,67 +202,32 @@ def test_eig_sorting_order():
     np.testing.assert_allclose(es.eigenvalues, want, atol=1e-12)
 
 
-def test_eig_biorthonormal_and_reconstruction():
+def test_eig_recovers_planted_eigenvalues():
     rng = np.random.default_rng(13)
     for _ in range(20):
         dim = int(rng.integers(2, 7))
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        es = eig_general(Operator(m))
-        assert es.diagonalizable
-        np.testing.assert_allclose(
-            np.linalg.norm(es.right_vectors, axis=0), np.ones(dim), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            es.left_vectors @ es.right_vectors, np.eye(dim), atol=1e-10
-        )
-        rebuilt = (es.right_vectors * es.eigenvalues) @ es.left_vectors
-        np.testing.assert_allclose(rebuilt, m, atol=1e-10)
-
-
-def test_eig_spectral_power_matches_repeated_multiplication():
-    rng = np.random.default_rng(17)
-    m = 0.9 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))) / np.sqrt(5)
-    es = eig_general(Operator(m))
-    for n in (1, 5, 12, 30):
-        spectral = (es.right_vectors * es.eigenvalues**n) @ es.left_vectors
-        direct = np.linalg.matrix_power(m, n)
-        np.testing.assert_allclose(spectral, direct, atol=1e-10)
+        lam = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        es = eig_general(Operator(r @ np.diag(lam) @ np.linalg.inv(r)))
+        want = lam[np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))]
+        np.testing.assert_allclose(es.eigenvalues, want, rtol=0.0, atol=1e-10)
 
 
 def test_eig_jordan_block_flagged():
     j = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
     es = eig_general(Operator(j))
-    assert not es.diagonalizable
-    assert es.left_vectors is None
     np.testing.assert_allclose(es.eigenvalues, [1.0, 1.0], atol=1e-7)
 
 
 def test_eig_degenerate_but_diagonalizable():
     es = eig_general(Operator(np.eye(3, dtype=complex)))
-    assert es.diagonalizable
     np.testing.assert_allclose(es.eigenvalues, np.ones(3))
-    np.testing.assert_allclose(
-        es.left_vectors @ es.right_vectors, np.eye(3), atol=1e-12
-    )
 
 
 def test_eig_convergence_failure_surfaces(monkeypatch):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "eigvals", boom)
-        with pytest.raises(ConvergenceFailure):
-            eig_general(Operator(np.eye(2, dtype=complex)))
-    # the eigenvectors are computed on first read, by np.linalg.eig
-    es = eig_general(Operator(np.eye(2, dtype=complex)))
-    monkeypatch.setattr(np.linalg, "eig", boom)
+    monkeypatch.setattr(np.linalg, "eigvals", boom)
     with pytest.raises(ConvergenceFailure):
-        es.right_vectors
-
-
-def test_eigensystem_shape_validation():
-    with pytest.raises(ValueError):
-        Eigensystem(np.ones(2), np.eye(3))
-    with pytest.raises(ValueError):
-        Eigensystem(np.ones((2, 2)), np.eye(2))
+        eig_general(Operator(np.eye(2, dtype=complex)))
