@@ -360,8 +360,10 @@ def cmd_sweep(cfg: RunConfig) -> str:
     """Sweep one model parameter; CSV of singlet magnitude, gap, fidelity.
 
     H depends only on omega and g, the probe only on alpha and beta, so
-    only a g sweep rebuilds H (and diagonalizes it at every point) and
-    only an alpha-angle sweep rebuilds the probe; the rest is the config's.
+    only a g sweep rebuilds H (and diagonalizes and projects it at every
+    point) and only an alpha-angle sweep rebuilds the probe (and projects
+    the config's H onto it at every point); the rest is the config's, so
+    a tau sweep diagonalizes H and projects it onto the probe once.
     """
     spec = cfg.sweep
     with _allocating("sweep.count", spec.count):

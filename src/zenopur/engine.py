@@ -22,13 +22,16 @@ is columnar: P(n) = p0 |V^n W|_F^2 and the fidelity |t^dag V^n W|^2 / |V^n W|_F^
 come from the kept factors V^n W (d x r each), and the d x d states and the
 per-step objects are built only when read.
 
-V is built from the probe rows of the Hamiltonian's cached Hermitian
-spectrum (``Operator.hermitian_spectrum``), never from the full
-propagator: every call on the same ``H`` object, at any tau, shares one
-eigendecomposition.  Likewise rho'_A depends on the state and the probe
-alone, so its ensemble is kept on the ``DensityMatrix``: rho'_A is
-diagonalized once per state and probe, whatever H and tau, and a failed
-check is not kept but raises again on every call.
+V is built from the probe rows Q_phi = <phi|_X Q of the Hamiltonian's
+cached Hermitian spectrum H = Q diag(w) Q^dag (``Operator.hermitian_spectrum``),
+never from the full propagator: every call on the same ``H`` object, at
+any tau, shares one eigendecomposition, and the rows are kept on ``H`` for
+its last probe, so a tau scan projects once.  Likewise rho'_A depends on
+the state and the probe alone, so its ensemble is kept on the
+``DensityMatrix``: rho'_A is diagonalized once per state and probe,
+whatever H and tau.  ``_held`` keeps both, by one rule: one slot per
+object, keyed by the probe's value, and a failed check is not kept but
+raises again on every call.
 """
 
 from __future__ import annotations
@@ -227,7 +230,11 @@ def projected_evolution(h_tot: Operator, tau: float, probe: ProbeSpec) -> Operat
         V = (Q_phi exp(-i w tau)) Q_phi^dag,
 
     so no propagator on the total space is assembled, and only the first
-    call on a given ``h_tot`` diagonalizes it.
+    call on a given ``h_tot`` diagonalizes it.  ``(-i w, Q_phi, Q_phi^dag)``
+    is kept on ``h_tot`` for the last probe (``_held``, keyed by the
+    probe's value; 2 dim_a dim_total complex numbers), so calls at any tau
+    with an equal probe project once, and a call with another probe
+    projects again and replaces them.
 
     Raises
     ------
@@ -242,10 +249,37 @@ def projected_evolution(h_tot: Operator, tau: float, probe: ProbeSpec) -> Operat
             f"Hamiltonian dimension {h_tot.dim} does not match probe split "
             f"{probe.dim_x} x {probe.dim_a}"
         )
+    rate, q_phi, q_phi_h = _held(h_tot, "_probe_rows", _probe_rows, probe)
+    v = (q_phi * np.exp(rate * tau)) @ q_phi_h
+    return Operator(v)
+
+
+def _probe_rows(h_tot: Operator, probe: ProbeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(-i w, Q_phi, Q_phi^dag)`` of ``projected_evolution``, all read-only."""
     w, q = h_tot.hermitian_spectrum
     q_phi = np.einsum("i,iak->ak", probe.phi_x.conj(), q.reshape(probe.dim_x, probe.dim_a, -1))
-    v = (q_phi * np.exp(-1j * w * tau)) @ q_phi.conj().T
-    return Operator(v)
+    rows = (-1j * w, q_phi, q_phi.conj().T)
+    for a in rows:
+        a.setflags(write=False)
+    return rows
+
+
+def _held(owner, name: str, build, probe: ProbeSpec):
+    """``build(owner, probe)``, held on ``owner`` for the last probe.
+
+    One slot, ``owner.__dict__[name] = (key, value)``, keyed by the probe's
+    value: an equal probe, even one built apart, returns the held value,
+    another probe builds anew and replaces it, and a build that raises keeps
+    nothing, so it raises again on every call.  The held value stays true
+    because ``owner`` (an ``Operator`` or a ``DensityMatrix``) is read-only.
+    """
+    key = probe.dim_x, probe.dim_a, probe.phi_x.tobytes()
+    slot = owner.__dict__.get(name)
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    value = build(owner, probe)
+    owner.__dict__[name] = key, value
+    return value
 
 
 def probe_block(rho_tot: DensityMatrix, probe: ProbeSpec) -> np.ndarray:
@@ -333,16 +367,11 @@ def condition(
         A ValueError, if rho'_A / p0 has an eigenvalue below -STATE_TOL.
     """
     v = projected_evolution(h_tot, tau, probe)
-    return Conditioned(v, *_ensemble(rho_tot, probe))
+    return Conditioned(v, *_held(rho_tot, "_ensemble", _ensemble, probe))
 
 
 def _ensemble(rho_tot: DensityMatrix, probe: ProbeSpec) -> tuple[np.ndarray, np.ndarray, float]:
-    """``(weights, members, p0)`` of ``condition``, kept on ``rho_tot`` for the
-    last probe (one slot, keyed by its value); a failed check is not kept."""
-    key = (probe.dim_x, probe.dim_a, probe.phi_x.tobytes())
-    slot = rho_tot.__dict__.get("_ensemble")
-    if slot is not None and slot[0] == key:
-        return slot[1]
+    """``(weights, members, p0)`` of ``condition``; both arrays read-only."""
     block = probe_block(rho_tot, probe)
     weights, members = np.linalg.eigh(block)
     p0 = float(np.trace(block).real)
@@ -352,7 +381,6 @@ def _ensemble(rho_tot: DensityMatrix, probe: ProbeSpec) -> tuple[np.ndarray, np.
     weights, members = weights[kept], members[:, kept]
     weights.setflags(write=False)
     members.setflags(write=False)
-    rho_tot.__dict__["_ensemble"] = key, (weights, members, p0)
     return weights, members, p0
 
 
@@ -478,17 +506,17 @@ def spectral_report(
             f"state dimension {rho_a.dim} does not match operator {v.dim}"
         )
     es = eig_general(v)
-    mags = np.abs(es.eigenvalues)
+    mags = np.abs(es.eigenvalues[:2]).tolist()  # the two largest, as floats
     if mags[0] == 0.0:
         return SpectralReport(es, dominant_index=None, dominant_unique=False, gap_ratio=math.nan)
-    single = mags.shape[0] == 1
-    unique = single or bool(mags[0] - mags[1] > DOMINANCE_TOL)
-    gap = 0.0 if single else float(mags[1] / mags[0])
+    single = len(mags) == 1
+    unique = single or mags[0] - mags[1] > DOMINANCE_TOL
+    gap = 0.0 if single else mags[1] / mags[0]
     r0 = s0 = coeff = None
     if unique:
         r0, l0, s0 = _dominant_pair(v.entries, es.eigenvalues[0])
         if rho_a is not None and s0 <= CONDITION_LIMIT:
-            coeff = float(np.real(l0 @ rho_a.entries @ l0.conj()))
+            coeff = float((l0 @ rho_a.entries @ l0.conj()).real)
     return SpectralReport(
         eigensystem=es,
         dominant_index=0,

@@ -28,6 +28,7 @@ from .exceptions import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 
 HERMITICITY_TOL = 1e-10
 CONDITION_LIMIT = 1e8
+_EPS = np.finfo(float).eps
 
 
 def _as_index(value, name: str, low: int, end: int = 2**63) -> int:
@@ -99,7 +100,9 @@ class Operator:
         must equal the matrix dimension.  Defaults to the single factor ``(dim,)``.
 
     ``hermitian_spectrum`` is computed on first access and kept; the
-    entries are a read-only copy, so it always describes them.
+    entries are a read-only copy, so it always describes them.  For the
+    same reason ``engine.projected_evolution`` keeps its probe rows on the
+    instance, for the last probe.
     """
 
     entries: np.ndarray
@@ -210,18 +213,29 @@ def _dominant_pair(m: np.ndarray, lam0: complex) -> tuple[np.ndarray, np.ndarray
     row.  ``r0`` has unit norm and its largest-modulus entry real and positive
     (LAPACK's rule), ``l0 @ r0 = 1``, and s0 = |l0| is lam0's Wilkinson condition.
     ConvergenceFailure if ``m - s I`` is singular all the same.
+
+    Each norm is written out with ``np.linalg.norm``'s own formula, so the
+    results are bit for bit those of that call, without its dispatch.
     """
     d = m.shape[0]
-    shift = lam0 + d * np.finfo(float).eps * max(1.0, np.abs(m).max())
+    a = m.copy()
+    a.ravel()[:: d + 1] -= lam0 + d * _EPS * max(1.0, np.abs(m).max())
     try:
-        b = np.linalg.inv(m - shift * np.eye(d))
+        b = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    x = b[:, np.argmax(np.linalg.norm(b, axis=0))]
-    y = b[np.argmax(np.linalg.norm(b, axis=1))]
+    sq = (b.conj() * b).real
+    x = b[:, np.sqrt(sq.sum(axis=0)).argmax()]
+    y = b[np.sqrt(sq.sum(axis=1)).argmax()]
     for _ in range(2):
-        x, y = b @ (x / np.linalg.norm(x)), (y / np.linalg.norm(y)) @ b
-    top = x[np.argmax(np.abs(x))]
-    r0 = x * (abs(top) / top) / np.linalg.norm(x)
+        x, y = b @ (x / _norm(x)), (y / _norm(y)) @ b
+    top = x[np.abs(x).argmax()]
+    r0 = x * (abs(top) / top) / _norm(x)
     l0 = y / (y @ r0)
-    return r0, l0, float(np.linalg.norm(l0))
+    return r0, l0, _norm(l0)
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a complex vector, without its dispatch."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))

@@ -28,6 +28,8 @@ from zenopur import (
     spectral_report,
 )
 
+from conftest import rand_density, rand_hermitian, rand_state
+
 REF = ModelParams(omega=1.0, g=0.25, tau=2.0 * math.pi)
 BELL = bell_basis()
 
@@ -54,17 +56,6 @@ def preset_mixed_state():
     down_up[2] = 1.0
     mixed = 0.5 * (np.outer(up_down, up_down) + np.outer(down_up, down_up))
     return DensityMatrix(Operator(np.kron(probe_part, mixed), factors=(2, 4)))
-
-
-def random_probe(rng, dim):
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return vec / np.linalg.norm(vec)
-
-
-def random_density(rng, dim):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 def random_params(rng):
@@ -145,10 +136,9 @@ def test_criterion_4_framework_oracle_equivalence():
     for draw in range(50):
         dim_x = 2 if draw % 2 == 0 else 4
         dim_a = 8 // dim_x
-        h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        h = (h + h.conj().T) / 2.0
-        rho = random_density(rng, 8)
-        phi = random_probe(rng, dim_x)
+        h = rand_hermitian(rng, 8)
+        rho = rand_density(rng, 8)
+        phi = rand_state(rng, dim_x)
         tau = rng.uniform(0.1, 3.0)
 
         probe = ProbeSpec(phi_x=phi, dim_x=dim_x, dim_a=dim_a)

@@ -36,6 +36,8 @@ from zenopur.model3q import ModelParams
 from zenopur import trajectories
 from zenopur.trajectories import ShotConfig, run_shots
 
+from conftest import rand_density, rand_hermitian, rand_state
+
 
 # ---------------------------------------------------------------------------
 # independent full-space oracle: iterate (O exp(-iHt) O) directly on the
@@ -95,22 +97,6 @@ def dropped_weight(rho_tot, probe):
     block = probe_block(rho_tot, probe)
     lam = np.linalg.eigvalsh(block)
     return np.abs(lam[lam <= STATE_TOL * max(np.trace(block).real, 0.0)]).sum()
-
-
-def rand_hermitian(rng, dim, scale=1.0):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (a + a.conj().T) / 2.0
-
-
-def rand_density(rng, dim):
-    b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = b @ b.conj().T
-    return m / np.trace(m).real
-
-
-def rand_state(rng, dim):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
 
 
 def reference_setup():
@@ -320,14 +306,24 @@ def test_projected_evolution_checks_tau_up_front(tau):
 
 
 def test_non_hermitian_hamiltonian_rejected_on_every_call():
-    # a failed Hermiticity check is not cached: the second call raises too
+    # a failed Hermiticity check is not cached, nor are the probe rows: the
+    # second round of calls raises too
     probe = ProbeSpec(RIGHT, 2, 4)
     m = np.zeros((8, 8), dtype=complex)
     m[0, 1] = 1.0
     h = Operator(m, (2, 4))
+    rho = DensityMatrix(Operator(np.eye(8) / 8.0, (2, 4)))
+    shown = repr(h)
     for _ in range(2):
-        with pytest.raises(NonHermitianInput):
-            projected_evolution(h, 1.0, probe)
+        for call in (
+            lambda: projected_evolution(h, 1.0, probe),
+            lambda: condition(rho, h, 1.0, probe),
+            lambda: run_shots(rho, h, 1.0, probe, ShotConfig(shots=5, seed=1, n_steps=1)),
+        ):
+            with pytest.raises(NonHermitianInput):
+                call()
+    assert set(vars(h)) == {"entries", "factors"}
+    assert repr(h) == shown
 
 
 def counted_eigh(monkeypatch, dim):
@@ -386,6 +382,51 @@ def test_conditioning_ensemble_is_kept_for_one_probe_per_state(monkeypatch):
     condition(DensityMatrix(Operator(rho.entries, (dim_x, dim_a))), h, 0.7, first)
     assert len(calls) == 4
     assert repr(rho) == shown
+
+
+def counted_projections(monkeypatch):
+    """A list that gets one entry per projection of H's eigenvectors onto a probe."""
+    calls = []
+    original = engine._probe_rows
+
+    def counted(h_tot, probe):
+        calls.append(1)
+        return original(h_tot, probe)
+
+    monkeypatch.setattr(engine, "_probe_rows", counted)
+    return calls
+
+
+def test_probe_rows_are_kept_for_one_probe_per_hamiltonian(monkeypatch):
+    rng = np.random.default_rng(67)
+    dim_x, dim_a = 2, 3
+    h = Operator(rand_hermitian(rng, dim_x * dim_a), (dim_x, dim_a))
+    rho = DensityMatrix(Operator(rand_density(rng, dim_x * dim_a), (dim_x, dim_a)))
+    first, second = (ProbeSpec(rand_state(rng, dim_x), dim_x, dim_a) for _ in range(2))
+    shown = repr(h)
+    calls = counted_projections(monkeypatch)
+    a = projected_evolution(h, 0.3, first)
+    for tau in (1.1, 2.9):
+        projected_evolution(h, tau, first)
+    # an equal probe built anew hits the slot, through condition and run_shots too
+    again = ProbeSpec(first.phi_x.copy(), dim_x, dim_a)
+    b = condition(rho, h, 0.3, again).v
+    run_shots(rho, h, 1.1, again, ShotConfig(shots=50, seed=3, n_steps=3))
+    assert len(calls) == 1
+    np.testing.assert_array_equal(b.entries, a.entries)
+    projected_evolution(h, 0.3, second)
+    assert len(calls) == 2
+    # one slot: going back to the first probe projects again
+    c = projected_evolution(h, 0.3, first)
+    assert len(calls) == 3
+    np.testing.assert_array_equal(c.entries, a.entries)
+    # the held rows are the last probe's, read-only
+    held = {k: v for k, v in vars(h).items() if k not in ("entries", "factors")}
+    assert set(held) == {"hermitian_spectrum", "_probe_rows"}
+    key, rows = held["_probe_rows"]
+    assert key == (dim_x, dim_a, first.phi_x.tobytes())
+    assert not any(r.flags.writeable for r in rows)
+    assert repr(h) == shown
 
 
 def test_failed_conditioning_checks_raise_on_every_call(monkeypatch):
@@ -837,12 +878,6 @@ def eig_inv_reference(v, rho):
     return vr[:, 0], float(np.real(l0 @ rho @ l0.conj())), np.linalg.cond(vr), np.abs(w)
 
 
-def random_density(rng, d):
-    b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = b @ b.conj().T
-    return DensityMatrix(Operator(rho / np.trace(rho).real))
-
-
 def dominant_pair_matches(v, rho):
     """False where the reference is undefined (no unique dominance, or its
     eigenvector matrix beyond CONDITION_LIMIT); else assert the match, True."""
@@ -875,10 +910,11 @@ def test_dominant_pair_matches_full_eigendecomposition(d):
     rng = np.random.default_rng(1000 + d)
     for _ in range(6 if d < 256 else 2):
         v = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2.0 * d)
-        assert dominant_pair_matches(v, random_density(rng, d))
+        assert dominant_pair_matches(v, DensityMatrix(Operator(rand_density(rng, d))))
     if d in (64, 256):
         for _ in range(3):
-            assert dominant_pair_matches(conjugate_pair_operator(rng, d), random_density(rng, d))
+            v = conjugate_pair_operator(rng, d)
+            assert dominant_pair_matches(v, DensityMatrix(Operator(rand_density(rng, d))))
 
 
 def test_dominant_pair_matches_full_eigendecomposition_on_model_tau_scan():
@@ -909,7 +945,7 @@ def test_dominant_pair_resolves_a_close_gap_under_non_normality():
         upper = np.triu(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), 1)
         r = np.eye(d) + c * upper / d
         v = r @ np.diag(lam) @ np.linalg.inv(r)
-        compared += dominant_pair_matches(v, random_density(rng, d))
+        compared += dominant_pair_matches(v, DensityMatrix(Operator(rand_density(rng, d))))
     assert compared >= 60
 
 
@@ -1046,6 +1082,16 @@ def test_protocol_invariants_over_random_inputs(inputs):
         assert np.max(np.abs(m - m.conj().T)) <= 1e-10
         assert np.linalg.eigvalsh(m).min() >= -1e-10
         assert abs(np.trace(m).real - 1.0) <= 1e-10
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(protocol_inputs())
+def test_warm_projection_equals_fresh_projection(inputs):
+    _, h, tau, probe = inputs
+    projected_evolution(h, tau + 1.0, probe)
+    warm = projected_evolution(h, tau, probe)
+    fresh = projected_evolution(Operator(h.entries.copy(), h.factors), tau, probe)
+    assert np.array_equal(warm.entries, fresh.entries)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)

@@ -8,6 +8,8 @@ from zenopur.linalg import (
     matrix_exponential,
 )
 
+from conftest import rand_hermitian
+
 
 # ---------------------------------------------------------------------------
 # independent oracle: scaling-and-squaring Taylor series for exp(M)
@@ -27,11 +29,6 @@ def expm_taylor(m):
     for _ in range(k):
         result = result @ result
     return result
-
-
-def rand_hermitian(rng, dim, scale=1.0):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (a + a.conj().T) / 2.0
 
 
 def test_expm_taylor_oracle_sanity():
